@@ -5,8 +5,8 @@ use std::time::Duration;
 
 /// How often a payload is sampled for compression measurement. Compressing
 /// every payload would dominate crawl time; sampling every Nth block and
-/// extrapolating preserves the Figure 2 estimate (documented in
-/// EXPERIMENTS.md).
+/// extrapolating preserves the Figure 2 estimate (see the root README's
+/// archive section).
 pub const COMPRESSION_SAMPLE_EVERY: u64 = 8;
 
 /// Accumulated crawl statistics.

@@ -226,6 +226,14 @@ mod tests {
                     tx.send(i).await.unwrap();
                 }
             });
+            // Hold the consumer back until the producer has found the
+            // queue full, so the stall counted below happens on every
+            // schedule, not only when the consumer happens to lag. The
+            // deadline only keeps a counting bug from hanging the test.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while gauge.snapshot().blocked_sends == 0 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
             // Consume everything.
             let mut n = 0;
             while rx.recv().await.is_some() {

@@ -1,7 +1,7 @@
 //! One renderer per paper exhibit. Every function takes the assembled
 //! [`crate::pipeline::PipelineData`] and returns the
 //! regenerated table/series as plain text (plus typed rows where callers
-//! need them — the benches and EXPERIMENTS comparison use those).
+//! need them — the benches and the paper comparison use those).
 //!
 //! Each renderer is a thin adapter over [`PipelineData::sweeps`]: the fused
 //! per-chain accumulators computed in one parallel sweep per chain and
@@ -11,6 +11,7 @@
 use crate::pipeline::PipelineData;
 use txstat_core::eos_analysis as eos;
 use txstat_core::xrp_analysis as xrp;
+use txstat_telemetry::Span;
 use txstat_types::amount::{fmt_pct, fmt_thousands};
 use txstat_types::table::{render_series, Align, TextTable};
 use txstat_types::time::ChainTime;
@@ -657,9 +658,16 @@ pub const SECTIONS: &[(&str, SectionFn)] = &[
     ("case_studies", case_studies),
 ];
 
-/// Render every exhibit section: `(name, text)` in report order.
+/// Render every exhibit section: `(name, text)` in report order, each
+/// under a `render` span labelled with the section name.
 pub fn report_sections(data: &PipelineData) -> Vec<(&'static str, String)> {
-    SECTIONS.iter().map(|(name, render)| (*name, render(data))).collect()
+    SECTIONS
+        .iter()
+        .map(|(name, render)| {
+            let _span = Span::enter("render", name);
+            (*name, render(data))
+        })
+        .collect()
 }
 
 /// Render every exhibit.
@@ -693,6 +701,7 @@ pub fn comparison_section(data: &PipelineData) -> String {
 /// byte-comparable.
 pub fn render_report(data: &PipelineData) -> String {
     let mut output = render_all(data);
+    let _span = Span::enter("render", "comparison");
     output.push_str(&comparison_section(data));
     output
 }

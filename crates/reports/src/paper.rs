@@ -1,6 +1,7 @@
 //! Paper-vs-measured comparison: the scale-invariant metrics of every
 //! exhibit, with the paper's published value next to our reproduction.
-//! This feeds EXPERIMENTS.md.
+//! It renders as every report's closing section
+//! ([`crate::exhibits::comparison_section`]).
 
 use crate::pipeline::PipelineData;
 use txstat_core::eos_analysis as eos;

@@ -1151,13 +1151,16 @@ pub fn local_storage_stats(data: &PipelineData) -> (CrawlStats, CrawlStats, Craw
 /// wire JSON and sample-compress (same methodology as the crawler's
 /// Figure 2 accounting). Serialization and LZSS sampling are the heaviest
 /// per-block work in the report, so the sweep is parallel; sampling is keyed
-/// by block index, making the result independent of chunking.
+/// by block index, making the result independent of chunking. Each chain's
+/// pass runs under a `storage` span.
 fn compute_storage_stats(data: &PipelineData) -> (CrawlStats, CrawlStats, CrawlStats) {
     fn stats_par<B: Sync>(
+        chain: &str,
         blocks: &[B],
         wire: impl Fn(&B) -> Vec<u8> + Sync,
         txs: impl Fn(&B) -> u64 + Sync,
     ) -> CrawlStats {
+        let _span = Span::enter("storage", chain);
         let indices: Vec<u64> = (0..blocks.len() as u64).collect();
         txstat_core::par_sweep(
             &indices,
@@ -1172,16 +1175,19 @@ fn compute_storage_stats(data: &PipelineData) -> (CrawlStats, CrawlStats, CrawlS
         )
     }
     let eos = stats_par(
+        "eos",
         &data.eos_blocks,
         txstat_eos::rpc_model::block_bytes,
         |b| b.transactions.len() as u64,
     );
     let tezos = stats_par(
+        "tezos",
         &data.tezos_blocks,
         txstat_tezos::rpc_model::block_bytes,
         |b| b.operations.len() as u64,
     );
     let xrp = stats_par(
+        "xrp",
         &data.xrp_blocks,
         txstat_xrp::rpc_model::ledger_bytes,
         |b| b.transactions.len() as u64,

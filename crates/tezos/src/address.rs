@@ -9,9 +9,11 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-use txstat_types::ids::fnv1a64;
+use txstat_types::base58::{self, Alphabet};
 
-const BASE58: &[u8; 58] = b"123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz";
+/// Bitcoin's base58 alphabet, which Tezos uses.
+static BASE58: Alphabet =
+    Alphabet::new(b"123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz");
 
 /// Address class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -49,67 +51,6 @@ impl Address {
             AddrKind::Originated => "KT1",
         }
     }
-
-    fn payload(&self) -> [u8; 10] {
-        // 8 id bytes + 2 checksum bytes.
-        let idb = self.id.to_be_bytes();
-        let ck = (fnv1a64(&idb) & 0xffff) as u16;
-        let mut p = [0u8; 10];
-        p[..8].copy_from_slice(&idb);
-        p[8..].copy_from_slice(&ck.to_be_bytes());
-        p
-    }
-}
-
-fn b58_encode(payload: &[u8]) -> String {
-    // Big-integer base conversion; payload is 10 bytes, fits in u128.
-    let mut n: u128 = 0;
-    for &b in payload {
-        n = (n << 8) | b as u128;
-    }
-    let mut digits = Vec::new();
-    loop {
-        digits.push(BASE58[(n % 58) as usize]);
-        n /= 58;
-        if n == 0 {
-            break;
-        }
-    }
-    // Preserve leading zero bytes as '1's (like real base58check).
-    for &b in payload {
-        if b == 0 {
-            digits.push(b'1');
-        } else {
-            break;
-        }
-    }
-    digits.reverse();
-    String::from_utf8(digits).expect("base58 alphabet is ASCII")
-}
-
-fn b58_decode(s: &str) -> Option<Vec<u8>> {
-    let mut n: u128 = 0;
-    let mut leading = 0usize;
-    let mut seen_nonzero = false;
-    for c in s.bytes() {
-        let v = BASE58.iter().position(|&b| b == c)? as u128;
-        if !seen_nonzero {
-            if c == b'1' {
-                leading += 1;
-                continue;
-            }
-            seen_nonzero = true;
-        }
-        n = n.checked_mul(58)?.checked_add(v)?;
-    }
-    let mut bytes = Vec::new();
-    while n > 0 {
-        bytes.push((n & 0xff) as u8);
-        n >>= 8;
-    }
-    bytes.extend(std::iter::repeat_n(0, leading));
-    bytes.reverse();
-    Some(bytes)
 }
 
 /// Address parse errors.
@@ -157,7 +98,8 @@ impl txstat_types::colcodec::ColKey for Address {
 
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.prefix(), b58_encode(&self.payload()))
+        f.write_str(self.prefix())?;
+        BASE58.write(&base58::id_payload(self.id), f)
     }
 }
 
@@ -172,20 +114,9 @@ impl FromStr for Address {
         } else {
             return Err(AddressError::BadPrefix);
         };
-        let bytes = b58_decode(rest).ok_or(AddressError::BadEncoding)?;
-        if bytes.len() != 10 {
-            return Err(AddressError::BadEncoding);
-        }
-        let mut idb = [0u8; 8];
-        idb.copy_from_slice(&bytes[..8]);
-        let id = u64::from_be_bytes(idb);
-        let want = (fnv1a64(&idb) & 0xffff) as u16;
-        let got = u16::from_be_bytes([bytes[8], bytes[9]]);
-        if want != got {
-            return Err(AddressError::BadChecksum);
-        }
-        let addr = Address { kind, id };
-        Ok(addr)
+        let payload = BASE58.decode::<10>(rest).ok_or(AddressError::BadEncoding)?;
+        let id = base58::id_from_payload(&payload).ok_or(AddressError::BadChecksum)?;
+        Ok(Address { kind, id })
     }
 }
 

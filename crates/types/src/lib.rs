@@ -9,6 +9,7 @@
 //! - [`time`] — seconds-precision chain clock, civil-date math (no chrono),
 //!   observation periods and the paper's 6-hour bucketing.
 //! - [`amount`] — `i128` fixed-point quantities and inline symbol codes.
+//! - [`base58`] — the base58 codec behind Tezos and XRP address text.
 //! - [`ids`] — chain identifiers and stable FNV-1a hashing.
 //! - [`colcodec`] — the binary column codec (canonical LE varints,
 //!   length-prefixed columns, typed offset errors) behind wire payload
@@ -25,6 +26,7 @@
 //! - [`rng`] — deterministic seed derivation so every run is reproducible.
 
 pub mod amount;
+pub mod base58;
 pub mod colcodec;
 pub mod distrib;
 pub mod ids;

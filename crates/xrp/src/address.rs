@@ -9,10 +9,11 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-use txstat_types::ids::fnv1a64;
+use txstat_types::base58::{self, Alphabet};
 
 /// Ripple's base58 alphabet.
-const RIPPLE_B58: &[u8; 58] = b"rpshnaf39wBUDNEGHJKLM4PQRST7VWXYZ2bcdeCg65jkm8oFqi1tuvAxyz";
+static RIPPLE_B58: Alphabet =
+    Alphabet::new(b"rpshnaf39wBUDNEGHJKLM4PQRST7VWXYZ2bcdeCg65jkm8oFqi1tuvAxyz");
 
 /// A ledger account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -32,64 +33,6 @@ impl AccountId {
     pub fn is_special(self) -> bool {
         self.0 < 16
     }
-
-    fn payload(self) -> [u8; 10] {
-        let idb = self.0.to_be_bytes();
-        let ck = (fnv1a64(&idb) & 0xffff) as u16;
-        let mut p = [0u8; 10];
-        p[..8].copy_from_slice(&idb);
-        p[8..].copy_from_slice(&ck.to_be_bytes());
-        p
-    }
-}
-
-fn b58_encode(payload: &[u8]) -> String {
-    let mut n: u128 = 0;
-    for &b in payload {
-        n = (n << 8) | b as u128;
-    }
-    let mut digits = Vec::new();
-    loop {
-        digits.push(RIPPLE_B58[(n % 58) as usize]);
-        n /= 58;
-        if n == 0 {
-            break;
-        }
-    }
-    for &b in payload {
-        if b == 0 {
-            digits.push(RIPPLE_B58[0]);
-        } else {
-            break;
-        }
-    }
-    digits.reverse();
-    String::from_utf8(digits).expect("alphabet is ASCII")
-}
-
-fn b58_decode(s: &str) -> Option<Vec<u8>> {
-    let mut n: u128 = 0;
-    let mut leading = 0usize;
-    let mut seen_nonzero = false;
-    for c in s.bytes() {
-        let v = RIPPLE_B58.iter().position(|&b| b == c)? as u128;
-        if !seen_nonzero {
-            if v == 0 {
-                leading += 1;
-                continue;
-            }
-            seen_nonzero = true;
-        }
-        n = n.checked_mul(58)?.checked_add(v)?;
-    }
-    let mut bytes = Vec::new();
-    while n > 0 {
-        bytes.push((n & 0xff) as u8);
-        n >>= 8;
-    }
-    bytes.extend(std::iter::repeat_n(0, leading));
-    bytes.reverse();
-    Some(bytes)
 }
 
 /// Address parse errors.
@@ -127,7 +70,8 @@ impl txstat_types::colcodec::ColKey for AccountId {
 
 impl fmt::Display for AccountId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", b58_encode(&self.payload()))
+        f.write_str("r")?;
+        RIPPLE_B58.write(&base58::id_payload(self.0), f)
     }
 }
 
@@ -136,18 +80,8 @@ impl FromStr for AccountId {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let rest = s.strip_prefix('r').ok_or(AddressError::BadPrefix)?;
-        let bytes = b58_decode(rest).ok_or(AddressError::BadEncoding)?;
-        if bytes.len() != 10 {
-            return Err(AddressError::BadEncoding);
-        }
-        let mut idb = [0u8; 8];
-        idb.copy_from_slice(&bytes[..8]);
-        let id = u64::from_be_bytes(idb);
-        let want = (fnv1a64(&idb) & 0xffff) as u16;
-        let got = u16::from_be_bytes([bytes[8], bytes[9]]);
-        if want != got {
-            return Err(AddressError::BadChecksum);
-        }
+        let payload = RIPPLE_B58.decode::<10>(rest).ok_or(AddressError::BadEncoding)?;
+        let id = base58::id_from_payload(&payload).ok_or(AddressError::BadChecksum)?;
         Ok(AccountId(id))
     }
 }
@@ -196,7 +130,10 @@ mod tests {
         chars[last] = if chars[last] == 'z' { 'y' } else { 'z' };
         let corrupted: String = chars.into_iter().collect();
         assert!(corrupted.parse::<AccountId>().is_err());
-        assert_eq!("xnotanaddr".parse::<AccountId>(), Err(AddressError::BadPrefix));
+        assert_eq!(
+            "xnotanaddr".parse::<AccountId>(),
+            Err(AddressError::BadPrefix)
+        );
         // '0', 'O', 'I', 'l' are not in the ripple alphabet.
         assert_eq!("r0O".parse::<AccountId>(), Err(AddressError::BadEncoding));
     }

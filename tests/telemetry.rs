@@ -1,6 +1,7 @@
 //! Tier-1 tests for the telemetry subsystem: concurrent instrument
 //! hammering, histogram quantile edge cases, span nesting across a real
-//! workload shape, and the NDJSON trace schema.
+//! workload shape, the NDJSON trace schema, and the stages a cold-start
+//! report traces.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -147,4 +148,77 @@ fn ndjson_trace_schema_round_trips_through_a_sink() {
     let line = serde_json::to_string(&events[0]).expect("serialize");
     let back: TraceEvent = serde_json::from_str(&line).expect("parse");
     assert_eq!(back, events[0]);
+}
+
+/// `report --archive --trace-out` in-process: the global tracer's NDJSON
+/// sink must carry the Figure 2 `storage` pass of every chain and one
+/// `render` span per report section plus the comparison, the stages that
+/// dominate a cold-start report's wall time.
+#[test]
+fn archive_report_trace_names_storage_and_render_stages() {
+    use txstat::reports::{generate, pipeline_from_archive, render_report, write_archive};
+    use txstat::reports::{SegmentFormat, SECTIONS};
+
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let dir = std::env::temp_dir().join(format!("txstat-trace-archive-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sc = txstat::workload::Scenario::small(7);
+    write_archive(&dir, &generate(&sc), "small", 256, SegmentFormat::V2).expect("seal corpus");
+
+    // The global tracer: the one `--trace-out` arms. No other test in this
+    // binary uses it.
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    let tracer = txstat::telemetry::tracer();
+    tracer.set_sink(Box::new(Shared(buf.clone())));
+    let (data, _archive) = pipeline_from_archive(&dir).expect("cold start");
+    let report = render_report(&data);
+    tracer.flush();
+    tracer.reset();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(report.contains("comparison metrics inside their acceptance bands"));
+
+    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("utf8 trace");
+    let events: Vec<TraceEvent> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("TraceEvent parses"))
+        .collect();
+    let labels = |stage: &str| -> Vec<String> {
+        events
+            .iter()
+            .filter(|e| e.stage == stage)
+            .map(|e| e.label.clone())
+            .collect()
+    };
+    let mut storage = labels("storage");
+    storage.sort();
+    assert_eq!(
+        storage,
+        ["eos", "tezos", "xrp"],
+        "one storage span per chain"
+    );
+    let expected: Vec<&str> = SECTIONS
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(["comparison"])
+        .collect();
+    assert_eq!(
+        labels("render"),
+        expected,
+        "one render span per section, in order"
+    );
+    assert_eq!(
+        labels("archive_open").len(),
+        1,
+        "the cold start opened one corpus"
+    );
 }
