@@ -76,11 +76,11 @@ fn figures(c: &mut Criterion) {
     g.finish();
 }
 
-/// The tentpole comparison: every exhibit statistic computed by the legacy
-/// per-exhibit scans (one dedicated pass over the blocks per statistic,
-/// single-threaded) versus the fused engine (one rayon map-reduce sweep per
-/// chain producing all of them), plus the parallel-scaling profile of the
-/// fused path at 1/2/N worker threads.
+/// Every exhibit statistic computed by the legacy per-exhibit scans (one
+/// dedicated pass over the blocks per statistic, single-threaded) versus
+/// the columnar engine (one rayon map-reduce sweep per chain producing all
+/// of them), plus the parallel-scaling profile of the columnar path at
+/// 1/2/N worker threads.
 fn fused_report(c: &mut Criterion) {
     let data = bench_data();
     let period = data.scenario.period;
@@ -156,19 +156,10 @@ fn fused_report(c: &mut Criterion) {
         black_box(x.graph().report(3));
         (e, t, x)
     };
-    let three_sweeps = || {
-        exercise(
-            EosSweep::compute(&data.eos_blocks, period),
-            TezosSweep::compute(&data.tezos_blocks, period, &data.governance_periods),
-            XrpSweep::compute(&data.xrp_blocks, period, &data.oracle),
-        )
-    };
-    g.bench_function("fused_three_sweeps", |b| b.iter(|| black_box(three_sweeps())));
-
     // The columnar engine over the same workload: interned ids, batched
     // tag-table classification, id-indexed counters, remap merges — then
-    // finalized into the same scalar structs and pushed through the same
-    // accessor battery (`compute` returns the finalized scalar sweeps).
+    // finalized and pushed through the accessor battery (`compute` returns
+    // the finalized sweeps).
     let columnar_sweeps = || {
         exercise(
             EosColumnar::compute(&data.eos_blocks, period),
@@ -182,15 +173,6 @@ fn fused_report(c: &mut Criterion) {
     let mut counts = vec![1usize, 2];
     if max_threads > 2 {
         counts.push(max_threads);
-    }
-    for threads in counts.clone() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        g.bench_function(format!("fused_sweeps_{threads}_threads"), |b| {
-            b.iter(|| pool.install(|| black_box(three_sweeps())))
-        });
     }
     for threads in counts {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -218,7 +200,7 @@ fn fused_stream(c: &mut Criterion) {
     g.sample_size(10);
 
     g.bench_function("materialize_then_sweep", |b| {
-        b.iter(|| black_box(EosSweep::compute(blocks, period)))
+        b.iter(|| black_box(EosColumnar::compute(blocks, period)))
     });
 
     let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
@@ -233,14 +215,14 @@ fn fused_stream(c: &mut Criterion) {
                     let opts = IngestOptions { shards, channel_capacity: 256, label: "" };
                     let (sink, pool) = spawn_sharded(
                         opts,
-                        move || EosSweep::new(period),
-                        |acc: &mut EosSweep, _n, b: &&txstat_eos::Block| acc.observe(b),
+                        move || EosColumnar::new(period),
+                        |acc: &mut EosColumnar, _n, b: &&txstat_eos::Block| acc.observe(b),
                     );
                     let src = MemorySource::numbered(blocks.iter(), |b| b.num);
                     let producer = tokio::spawn(src.produce(sink));
                     let out = pool.finish().await;
                     producer.await.expect("producer").expect("memory source");
-                    black_box(out.merged(|a, b| a.merge(b)))
+                    black_box(out.merged(|a, b| a.merge(b)).finalize())
                 })
             })
         });
@@ -252,16 +234,12 @@ fn fused_stream(c: &mut Criterion) {
 /// k shard accumulators into wire frames, decoding them back, and a full
 /// `ReduceSession` reduction (decode + validate + remap-merge + finalize),
 /// against the in-process merge of the same k accumulators (no codec) —
-/// the wire tax on top of the merge algebra.
-///
-/// The unsuffixed arms measure the **schema v2 binary-column** path (the
-/// default shard payload since this group's 11.9 ms JSON recording); the
-/// `_v1json` arms keep the v1 canonical-JSON path measured so the codec
-/// gap stays visible in `BENCH_figures.json`.
+/// the wire tax on top of the merge algebra, over schema v2 binary-column
+/// frames.
 fn wire_reduce(c: &mut Criterion) {
     use txstat_core::WireState;
     use txstat_ingest::{ReduceSession, ShardWorker};
-    use txstat_wire::{PayloadFormat, ShardFrame};
+    use txstat_wire::ShardFrame;
 
     let data = bench_data();
     let period = data.scenario.period;
@@ -278,7 +256,6 @@ fn wire_reduce(c: &mut Criterion) {
             end: if i == K - 1 { total } else { (i + 1) * total / K },
             base: 0,
             shards: 1,
-            payload: PayloadFormat::Bin,
             meta: meta.clone(),
         })
         .collect();
@@ -307,20 +284,6 @@ fn wire_reduce(c: &mut Criterion) {
             )
         })
         .collect();
-    // The same k accumulators as v1 JSON frames, for the comparison arms.
-    let json_frames: Vec<ShardFrame> = accs
-        .iter()
-        .zip(&workers)
-        .flat_map(|((e, t, x), w)| {
-            use serde::Serialize as _;
-            vec![
-                ShardFrame::from_state("eos", w.start, w.end, 0, w.meta.clone(), &e.serialize()),
-                ShardFrame::from_state("tezos", w.start, w.end, 0, w.meta.clone(), &t.serialize()),
-                ShardFrame::from_state("xrp", w.start, w.end, 0, w.meta.clone(), &x.serialize()),
-            ]
-        })
-        .collect();
-    let json_bytes = txstat_wire::encode_all(&json_frames);
 
     let mut g = c.benchmark_group("wire_reduce");
     g.sample_size(10);
@@ -364,24 +327,6 @@ fn wire_reduce(c: &mut Criterion) {
         b.iter(|| {
             let mut session = ReduceSession::new();
             for f in txstat_wire::decode_all(&bytes).expect("frames decode") {
-                session.submit(&f).expect("frame validates");
-            }
-            black_box(session.finalize().expect("complete coverage"))
-        })
-    });
-    g.bench_function("decode_k4_frames_v1json", |b| {
-        b.iter(|| {
-            let frames = txstat_wire::decode_all(&json_bytes).expect("frames decode");
-            for f in &frames {
-                black_box(f.state().expect("payload parses"));
-            }
-            black_box(frames.len())
-        })
-    });
-    g.bench_function("reduce_k4_frames_v1json", |b| {
-        b.iter(|| {
-            let mut session = ReduceSession::new();
-            for f in txstat_wire::decode_all(&json_bytes).expect("frames decode") {
                 session.submit(&f).expect("frame validates");
             }
             black_box(session.finalize().expect("complete coverage"))

@@ -1,6 +1,6 @@
 //! Columnar EOS sweep: interned names, per-block SoA batches, id-indexed
-//! counters, and a remap merge — finalized into the scalar [`EosSweep`]
-//! so every exhibit accessor (and its output, bit for bit) is shared.
+//! counters, and a remap merge — finalized into the name-keyed
+//! [`EosSweep`] every exhibit accessor reads.
 
 use super::tables::{IdVec, PairTable};
 use super::{encode_opt, resolve_map, resolve_pairs, resolve_topk, SeriesTable};
@@ -13,7 +13,7 @@ use txstat_types::intern::Interner;
 use txstat_types::time::{Period, SIX_HOURS};
 
 /// Figure 1 class tags, in [`CLASSES`] order; `TAG_OTHERS` collapses into
-/// one scalar counter (the scalar sweep's `(Others, None)` key).
+/// one counter (the finalized sweep's `(Others, None)` key).
 const TAG_P2P: u8 = 0;
 const TAG_OTHERS: u8 = 3;
 
@@ -160,12 +160,12 @@ impl WashCol {
     }
 }
 
-/// The columnar EOS accumulator: same `identity / observe / merge` algebra
-/// as [`EosSweep`], but every hot map is an id-indexed [`IdVec`] or
-/// residue-sharded [`PairTable`] over a chunk-local [`Interner`]. Merging
+/// The columnar EOS accumulator, an `identity / observe / merge` monoid
+/// whose hot maps are id-indexed [`IdVec`]s or residue-sharded
+/// [`PairTable`]s over a chunk-local [`Interner`]. Merging
 /// absorbs the other chunk's interner and gathers its counters through the
 /// resulting remap table; [`EosColumnar::finalize`] resolves ids back to
-/// names and yields the scalar sweep struct.
+/// names and yields the [`EosSweep`].
 #[derive(Debug, Clone)]
 pub struct EosColumnar {
     period: Period,
@@ -349,9 +349,9 @@ impl EosColumnar {
         self.txs_in_period += other.txs_in_period;
     }
 
-    /// Resolve ids back to names and emit the scalar sweep. All maps are
-    /// rebuilt key-by-key, so the result is state-identical to a scalar
-    /// [`EosSweep`] fold over the same blocks.
+    /// Resolve ids back to names and emit the [`EosSweep`]. All maps are
+    /// rebuilt key-by-key, so the result does not depend on id assignment
+    /// (and therefore not on chunk boundaries).
     pub fn finalize(self) -> EosSweep {
         let names = &self.names;
         let mut action_counts: HashMap<(EosActionClass, Option<Name>), u64> = HashMap::new();
@@ -409,12 +409,11 @@ impl EosColumnar {
             boom,
             graph,
             txs_in_period: self.txs_in_period,
-            contract_scratch: Vec::new(),
         }
     }
 
     /// One columnar parallel sweep over the blocks, finalized into the
-    /// scalar sweep every exhibit renders from.
+    /// [`EosSweep`] every exhibit renders from.
     pub fn compute(blocks: &[Block], period: Period) -> EosSweep {
         crate::accumulate::par_sweep(
             blocks,
@@ -426,85 +425,8 @@ impl EosColumnar {
     }
 }
 
-impl serde::Serialize for BoomCol {
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({
-            "boomerang_txs": self.boomerang_txs,
-            "boomerangs": self.boomerangs,
-            "total_txs": self.total_txs,
-            "transfer_actions": self.transfer_actions,
-            "boomerang_transfers": self.boomerang_transfers,
-            "hubs": self.hubs.serialize(),
-        })
-    }
-}
-
-impl serde::Deserialize for BoomCol {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::de;
-        Ok(BoomCol {
-            boomerang_txs: de(v, "boomerang_txs")?,
-            boomerangs: de(v, "boomerangs")?,
-            total_txs: de(v, "total_txs")?,
-            transfer_actions: de(v, "transfer_actions")?,
-            boomerang_transfers: de(v, "boomerang_transfers")?,
-            hubs: de(v, "hubs")?,
-            used: Vec::new(),
-        })
-    }
-}
-
-impl serde::Serialize for WashCol {
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({
-            "total": self.total,
-            "self_trades": self.self_trades,
-            "participation": self.participation.serialize(),
-            "self_by_account": self.self_by_account.serialize(),
-            "pairs": self.pairs.serialize(),
-        })
-    }
-}
-
-impl serde::Deserialize for WashCol {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::de;
-        Ok(WashCol {
-            total: de(v, "total")?,
-            self_trades: de(v, "self_trades")?,
-            participation: de(v, "participation")?,
-            self_by_account: de(v, "self_by_account")?,
-            pairs: de(v, "pairs")?,
-        })
-    }
-}
-
-impl serde::Serialize for EosColumnar {
-    /// The mergeable wire state: interner key table, tag table, id-indexed
-    /// counters, scalar tallies. The per-block SoA scratch is not state.
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({
-            "period": self.period.serialize(),
-            "names": self.names.serialize(),
-            "class_of": self.class_of.serialize(),
-            "by_class": serde::Value::Array(self.by_class.iter().map(|c| c.serialize()).collect()),
-            "others": self.others,
-            "action_total": self.action_total,
-            "tx_contracts": self.tx_contracts.serialize(),
-            "contract_actions": self.contract_actions.serialize(),
-            "sent": self.sent.serialize(),
-            "sender_receivers": self.sender_receivers.serialize(),
-            "series": self.series.serialize(),
-            "wash": self.wash.serialize(),
-            "boom": self.boom.serialize(),
-            "edges": self.edges.serialize(),
-            "txs_in_period": self.txs_in_period,
-        })
-    }
-}
-
 impl EosColumnar {
-    /// The decode-time hardening both payload formats run: every
+    /// The decode-time hardening of the binary decoder: every
     /// id-indexed structure must stay inside the interner's id range (and
     /// the tag table must have one *valid* tag per key), or merge/observe
     /// would panic on a forged frame.
@@ -534,35 +456,9 @@ impl EosColumnar {
     }
 }
 
-impl serde::Deserialize for EosColumnar {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::{de, de_fixed};
-        let out = EosColumnar {
-            period: de(v, "period")?,
-            names: de(v, "names")?,
-            class_of: de(v, "class_of")?,
-            by_class: de_fixed(v, "by_class")?,
-            others: de(v, "others")?,
-            action_total: de(v, "action_total")?,
-            tx_contracts: de(v, "tx_contracts")?,
-            contract_actions: de(v, "contract_actions")?,
-            sent: de(v, "sent")?,
-            sender_receivers: de(v, "sender_receivers")?,
-            series: de(v, "series")?,
-            wash: de(v, "wash")?,
-            boom: de(v, "boom")?,
-            edges: de(v, "edges")?,
-            txs_in_period: de(v, "txs_in_period")?,
-            batch: EosBatch::default(),
-        };
-        out.validate().map_err(serde::Error::custom)?;
-        Ok(out)
-    }
-}
-
 impl super::wire::WireState for EosColumnar {
-    /// Binary column sections (payload schema v2), same field order as the
-    /// JSON state and the same canonical-bytes guarantee.
+    /// Binary column sections (payload schema v2): mergeable fields in
+    /// declaration order; the per-block SoA scratch is not state.
     fn encode_columns(&self, w: &mut txstat_types::colcodec::ColWriter) {
         use super::wire::{write_period, write_prefix, TAG_EOS};
         write_prefix(w, TAG_EOS);
@@ -706,60 +602,33 @@ mod tests {
         ]
     }
 
+    fn flat(rows: (Vec<crate::eos_analysis::ActionRow>, u64)) -> (Vec<(EosActionClass, String, u64)>, u64) {
+        (rows.0.into_iter().map(|r| (r.class, r.action, r.count)).collect(), rows.1)
+    }
+
     #[test]
-    fn columnar_equals_scalar_sweep_outputs() {
+    fn columnar_equals_legacy_scans() {
+        use crate::eos_analysis as legacy;
         let blocks = blocks();
-        let scalar = EosSweep::compute(&blocks, period());
         let columnar = EosColumnar::compute(&blocks, period());
-        let flat = |s: &EosSweep| {
-            let (rows, total) = s.action_distribution();
-            (
-                rows.iter().map(|r| (r.class, r.action.clone(), r.count)).collect::<Vec<_>>(),
-                total,
-            )
-        };
-        assert_eq!(flat(&columnar), flat(&scalar));
-        assert_eq!(columnar.tps(), scalar.tps());
+        assert_eq!(
+            flat(columnar.action_distribution()),
+            flat(legacy::action_distribution(&blocks, period()))
+        );
+        assert_eq!(columnar.tps(), legacy::tps(&blocks, period()));
         let boom = columnar.boomerang_report();
+        assert_eq!(boom.boomerangs, legacy::boomerang_report(&blocks, period()).boomerangs);
         assert_eq!(boom.boomerangs, 1);
         assert_eq!(boom.hub, Some(Name::new("eidosonecoin")));
-        assert_eq!(columnar.graph().report(3).transfers, scalar.graph().report(3).transfers);
+        assert_eq!(
+            columnar.graph().report(3).transfers,
+            crate::graph::eos_transfer_graph(&blocks, period()).report(3).transfers
+        );
     }
 
     #[test]
-    fn wire_state_round_trip_preserves_finalized_outputs() {
-        use serde::Serialize as _;
-        let blocks = blocks();
-        let mut acc = EosColumnar::new(period());
-        for b in &blocks {
-            acc.observe(b);
-        }
-        let state = acc.serialize();
-        let back: EosColumnar = serde::Deserialize::deserialize(&state).expect("valid state");
-        // Canonical encoding: re-serializing the decoded state is
-        // byte-identical.
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&state).unwrap()
-        );
-        let (a, b) = (acc.finalize(), back.finalize());
-        let flat = |s: &EosSweep| {
-            let (rows, total) = s.action_distribution();
-            (rows.iter().map(|r| (r.class, r.action.clone(), r.count)).collect::<Vec<_>>(), total)
-        };
-        assert_eq!(flat(&a), flat(&b));
-        assert_eq!(a.tps(), b.tps());
-        assert_eq!(
-            a.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
-            b.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
-        );
-        assert_eq!(a.boomerang_report().boomerangs, b.boomerang_report().boomerangs);
-    }
-
-    #[test]
-    fn binary_columns_round_trip_and_match_json_state() {
+    fn binary_columns_round_trip_preserves_finalized_outputs() {
         use super::super::wire::WireState;
-        use serde::Serialize as _;
         let blocks = blocks();
         let mut acc = EosColumnar::new(period());
         for b in &blocks {
@@ -769,13 +638,13 @@ mod tests {
         let back = EosColumnar::from_wire_bytes(&bytes).expect("valid columns");
         // Canonical: re-encoding the decoded state is byte-identical.
         assert_eq!(back.to_wire_bytes(), bytes);
-        // The binary round trip lands on the same state as the JSON one.
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&acc.serialize()).unwrap()
-        );
         let (a, b) = (acc.finalize(), back.finalize());
-        assert_eq!(a.action_distribution().1, b.action_distribution().1);
+        assert_eq!(flat(a.action_distribution()), flat(b.action_distribution()));
+        assert_eq!(a.tps(), b.tps());
+        assert_eq!(
+            a.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
+            b.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
+        );
         assert_eq!(a.boomerang_report().boomerangs, b.boomerang_report().boomerangs);
     }
 
@@ -787,33 +656,37 @@ mod tests {
         // Forge an extra sent slot beyond the interner's id range.
         acc.sent.add(acc.names.len() as u32 + 7, 1);
         let bytes = acc.to_wire_bytes();
-        assert!(EosColumnar::from_wire_bytes(&bytes).is_err());
+        assert!(matches!(
+            EosColumnar::from_wire_bytes(&bytes),
+            Err(txstat_types::colcodec::ColError::Invalid { .. })
+        ));
     }
 
     #[test]
-    fn wire_state_rejects_tag_table_mismatch() {
-        use serde::Serialize as _;
+    fn binary_columns_reject_tag_table_mismatch() {
+        use super::super::wire::WireState;
         let mut acc = EosColumnar::new(period());
         acc.observe(&blocks()[0]);
-        let mut state = acc.serialize();
-        if let serde::Value::Object(m) = &mut state {
-            m.insert("class_of".into(), serde_json::json!([1]));
-        }
-        assert!(<EosColumnar as serde::Deserialize>::deserialize(&state).is_err());
+        acc.class_of = vec![1];
+        assert!(matches!(
+            EosColumnar::from_wire_bytes(&acc.to_wire_bytes()),
+            Err(txstat_types::colcodec::ColError::Invalid { .. })
+        ));
     }
 
     #[test]
-    fn both_decode_paths_reject_out_of_range_class_tags() {
+    fn binary_columns_reject_out_of_range_class_tags() {
         use super::super::wire::WireState;
-        use serde::Serialize as _;
         // A forged tag above TAG_OTHERS would index past by_class in
         // observe() if a decoded accumulator (e.g. a checkpoint) kept
-        // folding blocks — it must be a typed rejection on both paths.
+        // folding blocks — it must be a typed rejection.
         let mut acc = EosColumnar::new(period());
         acc.observe(&blocks()[0]);
         acc.class_of[0] = TAG_OTHERS + 6;
-        assert!(EosColumnar::from_wire_bytes(&acc.to_wire_bytes()).is_err());
-        assert!(<EosColumnar as serde::Deserialize>::deserialize(&acc.serialize()).is_err());
+        assert!(matches!(
+            EosColumnar::from_wire_bytes(&acc.to_wire_bytes()),
+            Err(txstat_types::colcodec::ColError::Invalid { .. })
+        ));
     }
 
     #[test]

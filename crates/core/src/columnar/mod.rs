@@ -1,11 +1,11 @@
 //! # Columnar sweep engine
 //!
-//! The fast path through the three chain sweeps. The scalar accumulators
-//! ([`crate::EosSweep`] & co.) key every hot map by account/contract/action
-//! name and pay a SipHash per observation — and again per key on every
-//! chunk merge, which is why 2-thread sweeps used to lose to 1 thread.
-//! This module keeps the same `identity / observe / merge` algebra but
-//! changes the data layout:
+//! The one analytics engine behind every report path. Each chain
+//! accumulator ([`EosColumnar`], [`TezosColumnar`], [`XrpColumnar`]) is an
+//! `identity / observe / merge` monoid over blocks whose hot maps are keyed
+//! by dense interned ids instead of account/contract/action names, so an
+//! observation costs a vector index rather than a SipHash, and a chunk
+//! merge is a remapped vector add rather than a rehash:
 //!
 //! ```text
 //!  Block ──decode──▶ Interner (name → dense u32 id)      [txstat_types::intern]
@@ -15,20 +15,22 @@
 //!                                           id residue class — level 2
 //!                                           under the ingest shards)
 //!  merge(a, b)  =  absorb interner ─▶ remap table ─▶ gathered vector adds
-//!  finalize     =  resolve ids ─▶ the scalar sweep struct (bit-identical)
+//!  finalize     =  resolve ids ─▶ the name-keyed sweep struct
+//!  wire         =  WireState binary column sections (frames, checkpoints)
 //! ```
 //!
 //! Classification is a batched tag-table lookup: each distinct action name
 //! is classified once at intern time, so the per-action Figure 1/3 loops
 //! read a precomputed `u8` tag column instead of re-matching strings.
 //!
-//! Because [`EosColumnar::finalize`] (& co.) rebuild the scalar sweep
-//! structs key-by-key, every exhibit accessor — including the top-N
-//! renderers behind Figures 4/5/6/8 — resolves interned ids through the
-//! one shared finalization helper family below ([`resolve_topk`],
-//! [`resolve_map`], [`resolve_pairs`]); ranking ties therefore break by
-//! *resolved key order*, never by id assignment (which depends on chunk
-//! boundaries).
+//! [`EosColumnar::finalize`] (& co.) build the finalized sweep structs
+//! ([`crate::EosSweep`] & co.) key-by-key, so every exhibit accessor —
+//! including the top-N renderers behind Figures 4/5/6/8 — reads
+//! name-keyed state resolved through the one shared helper family below
+//! ([`resolve_topk`], [`resolve_map`], [`resolve_pairs`]); ranking ties
+//! therefore break by *resolved key order*, never by id assignment (which
+//! depends on chunk boundaries). The legacy per-figure scans in
+//! `eos_analysis` & co. are the test oracle these outputs must equal.
 
 mod eos;
 pub(crate) mod state;
@@ -78,7 +80,7 @@ pub(crate) fn resolve_map<K: Eq + Hash>(
     counts.iter_nonzero().map(|(id, n)| (key(id), n)).collect()
 }
 
-/// Resolve a pair table into the scalar sweeps' nested `key → TopK<key>`
+/// Resolve a pair table into the finalized sweeps' nested `key → TopK<key>`
 /// shape (Figure 4/5/6/8 inputs).
 pub(crate) fn resolve_pairs<KA: Eq + Hash, KB: Eq + Hash + Clone>(
     pairs: &PairTable,
@@ -101,18 +103,6 @@ pub(crate) fn resolve_pairs<KA: Eq + Hash, KB: Eq + Hash + Clone>(
 pub(crate) struct SeriesTable {
     table: FxMap64,
     pub(crate) oor: u64,
-}
-
-impl serde::Serialize for SeriesTable {
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({ "table": self.table.serialize(), "oor": self.oor })
-    }
-}
-
-impl serde::Deserialize for SeriesTable {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(SeriesTable { table: state::de(v, "table")?, oor: state::de(v, "oor")? })
-    }
 }
 
 impl wire::WireState for SeriesTable {
@@ -153,7 +143,7 @@ impl SeriesTable {
         self.oor += other.oor;
     }
 
-    /// Rebuild the scalar [`BucketSeries`], resolving encoded keys through
+    /// Rebuild the key-addressed [`BucketSeries`], resolving encoded keys through
     /// `key`. State-identical to having recorded every event directly.
     pub(crate) fn resolve<K: Eq + Hash + Clone>(
         &self,
@@ -175,7 +165,7 @@ impl SeriesTable {
     }
 }
 
-/// Rebuild a dense (tag-indexed) bucket series as a scalar
+/// Rebuild a dense (tag-indexed) bucket series as a key-addressed
 /// [`BucketSeries`] over the category set `cats`.
 pub(crate) fn resolve_dense_series<K: Eq + Hash + Clone, const N: usize>(
     buckets: &[[u64; N]],

@@ -1,19 +1,11 @@
-//! Shared helpers for the columnar accumulators' wire-state
-//! (de)serialization — the payload side of `txstat_wire`'s `ShardFrame`.
-//!
-//! Every columnar accumulator serializes its *mergeable* state (interner
-//! key table + id-indexed counters + scalar tallies) and skips its
-//! per-block scratch buffers, which rebuild empty on the next `observe`.
-//! Sparse tables encode in sorted key order, so the state of two logically
-//! equal accumulators is byte-identical regardless of insertion history.
-
-use serde::{Deserialize, Error, Value};
+//! Decode-time hardening shared by the columnar accumulators: the id
+//! bounds checks every [`super::WireState`] decoder runs before a decoded
+//! state may be merged, finalized, or folded further.
 
 /// Bound-check an id-indexed vector against the interner that issued its
 /// ids: a wire state referencing ids the interner never assigned would
-/// panic resolution/merge instead of erroring. Format-agnostic — the JSON
-/// and binary decode paths both run the same hardening, wrapping the
-/// message into their own typed error.
+/// panic resolution/merge instead of erroring. The decoder wraps the
+/// message into a typed `ColError`.
 pub(crate) fn check_idvec<T>(
     v: &super::tables::IdVec<T>,
     interned: usize,
@@ -57,36 +49,4 @@ pub(crate) fn check_series(
         }
     }
     Ok(())
-}
-
-/// Deserialize the field `k` of an object value.
-pub(crate) fn de<T: Deserialize>(v: &Value, k: &str) -> Result<T, Error> {
-    T::deserialize(
-        v.get(k)
-            .ok_or_else(|| Error::custom(format!("missing columnar state field {k:?}")))?,
-    )
-}
-
-/// Deserialize the field `k` into a fixed-size array.
-pub(crate) fn de_fixed<T: Deserialize, const N: usize>(v: &Value, k: &str) -> Result<[T; N], Error> {
-    let items: Vec<T> = de(v, k)?;
-    <[T; N]>::try_from(items)
-        .map_err(|items| Error::custom(format!("field {k:?}: expected {N} entries, got {}", items.len())))
-}
-
-/// Serialize a slice of fixed-width rows (dense bucket series) as nested
-/// arrays.
-pub(crate) fn ser_rows<const N: usize>(rows: &[[u64; N]]) -> Value {
-    Value::Array(rows.iter().map(|r| serde::Serialize::serialize(&r.to_vec())).collect())
-}
-
-/// Deserialize the field `k` as a vector of fixed-width rows.
-pub(crate) fn de_rows<const N: usize>(v: &Value, k: &str) -> Result<Vec<[u64; N]>, Error> {
-    let rows: Vec<Vec<u64>> = de(v, k)?;
-    rows.into_iter()
-        .map(|r| {
-            <[u64; N]>::try_from(r)
-                .map_err(|r| Error::custom(format!("field {k:?}: row arity {} != {N}", r.len())))
-        })
-        .collect()
 }

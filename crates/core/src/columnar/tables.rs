@@ -1,7 +1,7 @@
 //! Id-indexed accumulator primitives for the columnar sweep engine.
 //!
-//! Three containers replace the `HashMap<Name, _>`-style hot maps of the
-//! scalar sweeps once keys are interned to dense `u32` ids:
+//! Three containers stand in for `HashMap<Name, _>`-style hot maps once
+//! keys are interned to dense `u32` ids:
 //!
 //! - [`IdVec`] — a dense per-id accumulator (`Vec<T>` grown on demand).
 //!   Same-interner merges are element-wise vector adds; cross-interner
@@ -97,20 +97,6 @@ impl<T> IdVec<T> {
     /// Number of id slots present — every indexed id is below this.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
-    }
-}
-
-impl<T: serde::Serialize> serde::Serialize for IdVec<T> {
-    /// Wire state: the dense slot vector, id-indexed — meaningful only next
-    /// to the interner whose ids index it.
-    fn serialize(&self) -> serde::Value {
-        self.slots.serialize()
-    }
-}
-
-impl<T: serde::Deserialize> serde::Deserialize for IdVec<T> {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(IdVec { slots: Vec::deserialize(v)? })
     }
 }
 
@@ -231,35 +217,6 @@ impl FxMap64 {
     }
 }
 
-impl serde::Serialize for FxMap64 {
-    /// Wire state: `(key, count)` pairs sorted by key — canonical, so two
-    /// logically-equal tables encode identically regardless of the probe
-    /// order their insertion history produced.
-    fn serialize(&self) -> serde::Value {
-        let mut pairs: Vec<(u64, u64)> = self.iter().collect();
-        pairs.sort_unstable();
-        pairs.serialize()
-    }
-}
-
-impl serde::Deserialize for FxMap64 {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let pairs: Vec<(u64, u64)> = Vec::deserialize(v)?;
-        let mut out = FxMap64::new();
-        out.reserve(pairs.len());
-        for (k, n) in pairs {
-            if k == EMPTY {
-                return Err(serde::Error::custom("key collides with the empty sentinel"));
-            }
-            if out.get(k) != 0 {
-                return Err(serde::Error::custom("duplicate key in counter table state"));
-            }
-            out.add(k, n);
-        }
-        Ok(out)
-    }
-}
-
 /// A pair-keyed counter sharded by the first id's residue class — the
 /// second sharding level under the ingest layer's block-range shards.
 #[derive(Debug, Clone, Default)]
@@ -328,45 +285,14 @@ impl PairTable {
     }
 }
 
-impl serde::Serialize for PairTable {
-    /// Wire state: flat `(a, b, count)` triples sorted by pair — the shard
-    /// assignment is a function of `a`, so the residue layout rebuilds
-    /// itself on decode.
-    fn serialize(&self) -> serde::Value {
-        let mut triples: Vec<(u32, u32, u64)> = self.iter().collect();
-        triples.sort_unstable();
-        triples.serialize()
-    }
-}
-
-impl serde::Deserialize for PairTable {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let triples: Vec<(u32, u32, u64)> = Vec::deserialize(v)?;
-        let mut out = PairTable::new();
-        for shard in &mut out.shards {
-            shard.reserve(triples.len() / PAIR_SHARDS + 1);
-        }
-        for (a, b, n) in triples {
-            if pack(a, b) == EMPTY {
-                return Err(serde::Error::custom("pair collides with the empty sentinel"));
-            }
-            if out.get(a, b) != 0 {
-                return Err(serde::Error::custom("duplicate pair in pair-table state"));
-            }
-            out.add(a, b, n);
-        }
-        Ok(out)
-    }
-}
-
 // ---- Binary column sections (wire payload schema v2) -----------------------
 
 use super::wire::WireState;
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 
 impl WireState for IdVec<u64> {
-    /// Column form: slot count, then the dense id-indexed tallies — the
-    /// same dense vector the JSON path ships, as varints.
+    /// Column form: slot count, then the dense id-indexed tallies as
+    /// varints.
     fn encode_columns(&self, w: &mut ColWriter) {
         w.u64(self.slots.len() as u64);
         for v in &self.slots {
@@ -466,8 +392,8 @@ impl WireState for FxMap64 {
 
 impl WireState for PairTable {
     /// Column form: the packed `(a, b)` keys sorted ascending (identical
-    /// order to sorting the `(a, b, n)` triples) — the residue layout
-    /// rebuilds itself on decode, exactly like the JSON path.
+    /// order to sorting the `(a, b, n)` triples) — the shard assignment is
+    /// a function of `a`, so the residue layout rebuilds itself on decode.
     fn encode_columns(&self, w: &mut ColWriter) {
         write_sorted_map(
             w,
@@ -577,5 +503,54 @@ mod tests {
         a.merge_remap(&b, remap_a, remap_b);
         assert_eq!(a.get(0, 1), 7);
         assert_eq!(a.len(), 1);
+    }
+
+    /// A sorted-map section written by hand: count, then `(delta, value)`.
+    fn section(entries: &[(u64, u64)]) -> Vec<u8> {
+        let mut w = ColWriter::new();
+        w.u64(entries.len() as u64);
+        for (delta, v) in entries {
+            w.u64(*delta);
+            w.u64(*v);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn sections_reject_the_empty_sentinel_key() {
+        let bytes = section(&[(EMPTY, 5)]);
+        assert!(matches!(FxMap64::from_wire_bytes(&bytes), Err(ColError::Invalid { .. })));
+        // pack(u32::MAX, u32::MAX) is the sentinel too.
+        assert!(matches!(PairTable::from_wire_bytes(&bytes), Err(ColError::Invalid { .. })));
+        let bytes = section(&[(1, 1), (EMPTY - 1, 5)]);
+        assert!(matches!(FxMap64::from_wire_bytes(&bytes), Err(ColError::Invalid { .. })));
+    }
+
+    #[test]
+    fn sections_reject_duplicate_keys_and_pairs() {
+        // A zero delta repeats the previous key, which would double-count.
+        let bytes = section(&[(pack(3, 4), 1), (0, 1)]);
+        assert!(matches!(FxMap64::from_wire_bytes(&bytes), Err(ColError::Invalid { .. })));
+        assert!(matches!(PairTable::from_wire_bytes(&bytes), Err(ColError::Invalid { .. })));
+        // A delta past u64::MAX cannot name a key.
+        let bytes = section(&[(5, 1), (u64::MAX, 1)]);
+        assert!(matches!(FxMap64::from_wire_bytes(&bytes), Err(ColError::Invalid { .. })));
+    }
+
+    #[test]
+    fn sections_round_trip_canonically() {
+        let mut t = PairTable::new();
+        for (a, b) in [(7, 1), (0, 3), (7, 0), (2, 2)] {
+            t.add(a, b, u64::from(a + b + 1));
+        }
+        let bytes = t.to_wire_bytes();
+        let back = PairTable::from_wire_bytes(&bytes).expect("valid section");
+        assert_eq!(back.to_wire_bytes(), bytes);
+        let mut m = FxMap64::new();
+        for k in [9u64, 1, 400] {
+            m.add(k, k * 2);
+        }
+        let bytes = m.to_wire_bytes();
+        assert_eq!(FxMap64::from_wire_bytes(&bytes).expect("valid section").to_wire_bytes(), bytes);
     }
 }

@@ -1,6 +1,6 @@
 //! Columnar Tezos sweep: interned addresses, a dense kind-tag batch for
 //! the Figure 1/3b classification loops, and id-indexed Figure 6 counters,
-//! finalized into the scalar [`TezosSweep`].
+//! finalized into the address-keyed [`TezosSweep`].
 
 use super::tables::{IdVec, PairTable};
 use super::{resolve_dense_series, resolve_pairs, resolve_topk};
@@ -27,9 +27,9 @@ const CATS: [TezosThroughputCat; 3] = [
     TezosThroughputCat::Others,
 ];
 
-/// The columnar Tezos accumulator: same algebra as [`TezosSweep`], with
-/// operation kinds classified into a reused tag column per block and the
-/// Figure 6 sender/receiver maps id-indexed over interned addresses.
+/// The columnar Tezos accumulator, an `identity / observe / merge` monoid
+/// with operation kinds classified into a reused tag column per block and
+/// the Figure 6 sender/receiver maps id-indexed over interned addresses.
 #[derive(Debug, Clone)]
 pub struct TezosColumnar {
     period: Period,
@@ -180,7 +180,7 @@ impl TezosColumnar {
         self.txs_in_period += other.txs_in_period;
     }
 
-    /// Resolve ids and emit the scalar sweep.
+    /// Resolve ids and emit the [`TezosSweep`].
     pub fn finalize(self) -> TezosSweep {
         let addrs = &self.addrs;
         let resolve = |id: u32| addrs.resolve(id);
@@ -226,29 +226,8 @@ impl TezosColumnar {
     }
 }
 
-impl serde::Serialize for TezosColumnar {
-    /// The mergeable wire state; the per-block kind-tag scratch is not
-    /// state.
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({
-            "period": self.period.serialize(),
-            "periods": self.periods.serialize(),
-            "addrs": self.addrs.serialize(),
-            "op_counts": self.op_counts.to_vec().serialize(),
-            "op_total": self.op_total,
-            "series": super::state::ser_rows(&self.series),
-            "series_oor": self.series_oor,
-            "sent": self.sent.serialize(),
-            "per_receiver": self.per_receiver.serialize(),
-            "gov_events": self.gov_events.serialize(),
-            "gov_ops_in_window": self.gov_ops_in_window,
-            "txs_in_period": self.txs_in_period,
-        })
-    }
-}
-
 impl TezosColumnar {
-    /// The decode-time hardening both payload formats run.
+    /// The decode-time hardening of the binary decoder.
     fn validate(&self) -> Result<(), String> {
         if self.gov_events.len() != self.periods.len() {
             return Err("governance event arity disagrees with period list".to_owned());
@@ -257,29 +236,6 @@ impl TezosColumnar {
         super::state::check_idvec(&self.sent, n, "sent")?;
         super::state::check_pairs(&self.per_receiver, n32, n32, "per_receiver")?;
         Ok(())
-    }
-}
-
-impl serde::Deserialize for TezosColumnar {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::{de, de_fixed, de_rows};
-        let out = TezosColumnar {
-            period: de(v, "period")?,
-            periods: de(v, "periods")?,
-            addrs: de(v, "addrs")?,
-            op_counts: de_fixed(v, "op_counts")?,
-            op_total: de(v, "op_total")?,
-            series: de_rows(v, "series")?,
-            series_oor: de(v, "series_oor")?,
-            sent: de(v, "sent")?,
-            per_receiver: de(v, "per_receiver")?,
-            gov_events: de(v, "gov_events")?,
-            gov_ops_in_window: de(v, "gov_ops_in_window")?,
-            txs_in_period: de(v, "txs_in_period")?,
-            tags: Vec::new(),
-        };
-        out.validate().map_err(serde::Error::custom)?;
-        Ok(out)
     }
 }
 
@@ -304,8 +260,8 @@ fn period_kind_of(tag: u8) -> Option<PeriodKind> {
 }
 
 impl super::wire::WireState for TezosColumnar {
-    /// Binary column sections (payload schema v2), same field order as the
-    /// JSON state.
+    /// Binary column sections (payload schema v2), mergeable fields in
+    /// declaration order; the per-block kind-tag scratch is not state.
     fn encode_columns(&self, w: &mut txstat_types::colcodec::ColWriter) {
         use super::wire::{write_period, write_prefix, write_rows, TAG_TEZOS};
         use txstat_types::colcodec::ColKey;
@@ -413,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_scalar_on_mixed_ops() {
+    fn columnar_matches_legacy_scans_on_mixed_ops() {
         let pay = |from: u64, to: u64| {
             Operation::new(
                 Address::implicit(from),
@@ -449,30 +405,25 @@ mod tests {
             },
         ];
         let periods = vec![(PeriodKind::Promotion, period())];
-        let scalar = TezosSweep::compute(&blocks, period(), &periods);
+        use crate::tezos_analysis as legacy;
         let columnar = TezosColumnar::compute(&blocks, period(), &periods);
-        assert_eq!(columnar.op_distribution().1, scalar.op_distribution().1);
-        assert_eq!(columnar.governance_op_count(), scalar.governance_op_count());
-        assert_eq!(columnar.tps(), scalar.tps());
+        assert_eq!(columnar.op_distribution().1, legacy::op_distribution(&blocks, period()).1);
         assert_eq!(
-            columnar.throughput_series().total(),
-            scalar.throughput_series().total()
+            columnar.governance_op_count(),
+            legacy::governance_op_count(&blocks, period())
         );
-        assert_eq!(
-            columnar.throughput_series().out_of_range(),
-            scalar.throughput_series().out_of_range()
-        );
+        assert_eq!(columnar.tps(), legacy::tps(&blocks, period()));
+        let series = legacy::throughput_series(&blocks, period());
+        assert_eq!(columnar.throughput_series().total(), series.total());
+        assert_eq!(columnar.throughput_series().out_of_range(), series.out_of_range());
         let flat = |rows: Vec<crate::tezos_analysis::SenderDispersion>| {
             rows.into_iter().map(|r| (r.sender, r.sent_count, r.unique_receivers)).collect::<Vec<_>>()
         };
-        assert_eq!(flat(columnar.top_senders(5)), flat(scalar.top_senders(5)));
+        assert_eq!(flat(columnar.top_senders(5)), flat(legacy::top_senders(&blocks, period(), 5)));
     }
 
-    #[test]
-    fn binary_columns_round_trip_canonically() {
-        use super::super::wire::WireState;
-        use serde::Serialize as _;
-        let block = TezosBlock {
+    fn ballot_block() -> TezosBlock {
+        TezosBlock {
             level: 1,
             time: t0() + 120,
             baker: Address::implicit(1),
@@ -486,54 +437,34 @@ mod tests {
                     OpPayload::Ballot { proposal: "PsBabyM1".into(), vote: Vote::Nay },
                 ),
             ],
-        };
-        let mut acc = TezosColumnar::new(period(), vec![(PeriodKind::Promotion, period())]);
-        acc.observe(&block);
-        let bytes = acc.to_wire_bytes();
-        let back = TezosColumnar::from_wire_bytes(&bytes).expect("valid columns");
-        assert_eq!(back.to_wire_bytes(), bytes);
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&acc.serialize()).unwrap()
-        );
-        let (a, b) = (acc.finalize(), back.finalize());
-        assert_eq!(a.op_distribution().1, b.op_distribution().1);
-        assert_eq!(a.governance_op_count(), b.governance_op_count());
+        }
     }
 
     #[test]
-    fn wire_state_round_trip_preserves_finalized_outputs() {
-        use serde::Serialize as _;
-        let pay = |from: u64, to: u64| {
-            Operation::new(
-                Address::implicit(from),
-                OpPayload::Transaction { destination: Address::implicit(to), amount_mutez: 7 },
-            )
-        };
-        let block = TezosBlock {
-            level: 1,
-            time: t0() + 120,
-            baker: Address::implicit(1),
-            operations: vec![
-                pay(4, 5),
-                Operation::new(
-                    Address::implicit(3),
-                    OpPayload::Ballot { proposal: "PsBabyM1".into(), vote: Vote::Nay },
-                ),
-            ],
-        };
-        let periods = vec![(PeriodKind::Promotion, period())];
-        let mut acc = TezosColumnar::new(period(), periods);
-        acc.observe(&block);
-        let state = acc.serialize();
-        let back: TezosColumnar = serde::Deserialize::deserialize(&state).expect("valid state");
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&state).unwrap()
-        );
+    fn binary_columns_round_trip_preserves_finalized_outputs() {
+        use super::super::wire::WireState;
+        let mut acc = TezosColumnar::new(period(), vec![(PeriodKind::Promotion, period())]);
+        acc.observe(&ballot_block());
+        let bytes = acc.to_wire_bytes();
+        let back = TezosColumnar::from_wire_bytes(&bytes).expect("valid columns");
+        // Canonical: re-encoding the decoded state is byte-identical.
+        assert_eq!(back.to_wire_bytes(), bytes);
         let (a, b) = (acc.finalize(), back.finalize());
         assert_eq!(a.op_distribution().1, b.op_distribution().1);
         assert_eq!(a.governance_op_count(), b.governance_op_count());
         assert_eq!(a.tps(), b.tps());
+    }
+
+    #[test]
+    fn binary_columns_reject_governance_arity_skew() {
+        use super::super::wire::WireState;
+        let mut acc = TezosColumnar::new(period(), vec![(PeriodKind::Promotion, period())]);
+        acc.observe(&ballot_block());
+        // One event list per governance period, or finalize misattributes.
+        acc.gov_events.push(Vec::new());
+        assert!(matches!(
+            TezosColumnar::from_wire_bytes(&acc.to_wire_bytes()),
+            Err(txstat_types::colcodec::ColError::Invalid { .. })
+        ));
     }
 }

@@ -284,8 +284,8 @@ pub struct WashReport {
     pub top5_participation: f64,
 }
 
-/// Mergeable wash-trading state: the per-transaction detector shared by the
-/// legacy single-purpose scan and the fused [`EosSweep`].
+/// Wash-trading state: the per-transaction detector of the legacy scan,
+/// and the resolved form [`crate::EosColumnar::finalize`] fills in.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WashAcc {
     pub(crate) total: u64,
@@ -313,18 +313,6 @@ impl WashAcc {
                     *self.self_by_account.entry(buyer).or_insert(0) += 1;
                 }
             }
-        }
-    }
-
-    fn merge(&mut self, other: WashAcc) {
-        self.total += other.total;
-        self.self_trades += other.self_trades;
-        self.participation.merge(other.participation);
-        for (k, n) in other.self_by_account {
-            *self.self_by_account.entry(k).or_insert(0) += n;
-        }
-        for (k, n) in other.pair_counts {
-            *self.pair_counts.entry(k).or_insert(0) += n;
         }
     }
 
@@ -384,9 +372,9 @@ pub struct BoomerangReport {
     pub transfer_share: f64,
 }
 
-/// Mergeable boomerang-detection state: the per-transaction pattern matcher
-/// shared by the legacy scan and the fused [`EosSweep`]. Detection is fully
-/// contained within one transaction, so counters merge by plain addition.
+/// Boomerang-detection state: the per-transaction pattern matcher of the
+/// legacy scan, and the resolved form [`crate::EosColumnar::finalize`]
+/// fills in.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BoomAcc {
     pub(crate) boomerang_txs: u64,
@@ -449,16 +437,6 @@ impl BoomAcc {
         }
     }
 
-    fn merge(&mut self, other: BoomAcc) {
-        // scratch/used are per-transaction working memory, not merged state.
-        self.boomerang_txs += other.boomerang_txs;
-        self.boomerangs += other.boomerangs;
-        self.total_txs += other.total_txs;
-        self.transfer_actions += other.transfer_actions;
-        self.boomerang_transfers += other.boomerang_transfers;
-        self.hubs.merge(other.hubs);
-    }
-
     fn finalize(&self) -> BoomerangReport {
         BoomerangReport {
             boomerang_txs: self.boomerang_txs,
@@ -499,15 +477,12 @@ pub fn tps(blocks: &[Block], period: Period) -> f64 {
     txs as f64 / period.seconds().max(1) as f64
 }
 
-/// The fused EOS accumulator: every EOS exhibit statistic from **one** pass
-/// over the block vector.
+/// The finalized EOS sweep: every EOS exhibit statistic of one pass over
+/// the block vector, keyed by name.
 ///
-/// `identity` is [`EosSweep::new`], `observe` folds one block in, and
-/// [`EosSweep::merge`] combines two partial sweeps — all merged state is in
-/// exactly-mergeable domains (counters, count maps, bucketed series), so
-/// [`crate::accumulate::par_sweep`] produces results identical to the legacy
-/// sequential per-exhibit scans. The figure-shaped outputs are extracted by
-/// the accessor methods after the sweep.
+/// [`crate::EosColumnar::finalize`] builds it by resolving the columnar
+/// engine's interned ids; the accessor methods extract the figure-shaped
+/// outputs, equal to the legacy per-exhibit scans.
 #[derive(Debug, Clone)]
 pub struct EosSweep {
     pub(crate) period: Period,
@@ -532,105 +507,9 @@ pub struct EosSweep {
     pub(crate) graph: crate::graph::TransferGraph<Name>,
     /// In-period transaction count (the headline TPS numerator).
     pub(crate) txs_in_period: u64,
-    /// Reused per-transaction scratch for distinct-contract dedup.
-    pub(crate) contract_scratch: Vec<Name>,
 }
 
 impl EosSweep {
-    /// The sweep identity for an observation window.
-    pub fn new(period: Period) -> Self {
-        EosSweep {
-            period,
-            action_counts: HashMap::new(),
-            action_total: 0,
-            tx_contracts: TopK::new(),
-            contract_actions: HashMap::new(),
-            sent: TopK::new(),
-            sender_receivers: HashMap::new(),
-            contract_series: BucketSeries::new(period, SIX_HOURS),
-            wash: WashAcc::default(),
-            boom: BoomAcc::default(),
-            graph: crate::graph::TransferGraph::new(),
-            txs_in_period: 0,
-            contract_scratch: Vec::new(),
-        }
-    }
-
-    /// Fold one block into the sweep.
-    pub fn observe(&mut self, b: &Block) {
-        // The throughput series audits out-of-period events itself (legacy
-        // `throughput_series` records every block); everything else applies
-        // the observation-window filter up front.
-        for tx in &b.transactions {
-            self.contract_series.record(b.time, tx.actions.first().map(|a| a.contract), 1);
-        }
-        if !self.period.contains(b.time) {
-            return;
-        }
-        for tx in &b.transactions {
-            self.txs_in_period += 1;
-            for a in &tx.actions {
-                let class = classify_action(a.name, &a.data);
-                let key_name = match class {
-                    EosActionClass::Others => None,
-                    _ => Some(a.name),
-                };
-                *self.action_counts.entry((class, key_name)).or_insert(0) += 1;
-                self.action_total += 1;
-                self.sent.inc(a.actor);
-                self.sender_receivers.entry(a.actor).or_default().inc(a.contract);
-                self.contract_actions.entry(a.contract).or_default().inc(a.name);
-                if let ActionData::Transfer { from, to, .. } = a.data {
-                    self.graph.record(from, to);
-                }
-            }
-            // Transactions have a handful of actions, so a linear-scan dedup
-            // over a reused buffer beats building a HashSet per transaction.
-            self.contract_scratch.clear();
-            for a in &tx.actions {
-                if !self.contract_scratch.contains(&a.contract) {
-                    self.contract_scratch.push(a.contract);
-                }
-            }
-            for i in 0..self.contract_scratch.len() {
-                self.tx_contracts.inc(self.contract_scratch[i]);
-            }
-            self.wash.observe_tx(tx);
-            self.boom.observe_tx(tx);
-        }
-    }
-
-    /// Merge another partial sweep (associative, commutative).
-    pub fn merge(&mut self, other: EosSweep) {
-        for (k, n) in other.action_counts {
-            *self.action_counts.entry(k).or_insert(0) += n;
-        }
-        self.action_total += other.action_total;
-        self.tx_contracts.merge(other.tx_contracts);
-        for (k, t) in other.contract_actions {
-            self.contract_actions.entry(k).or_default().merge(t);
-        }
-        self.sent.merge(other.sent);
-        for (k, t) in other.sender_receivers {
-            self.sender_receivers.entry(k).or_default().merge(t);
-        }
-        self.contract_series.merge(other.contract_series);
-        self.wash.merge(other.wash);
-        self.boom.merge(other.boom);
-        self.graph.merge(other.graph);
-        self.txs_in_period += other.txs_in_period;
-    }
-
-    /// One parallel sweep over the blocks.
-    pub fn compute(blocks: &[Block], period: Period) -> Self {
-        crate::accumulate::par_sweep(
-            blocks,
-            || EosSweep::new(period),
-            |acc, b| acc.observe(b),
-            |a, b| a.merge(b),
-        )
-    }
-
     /// Figure 1: per-action counts grouped by class.
     pub fn action_distribution(&self) -> (Vec<ActionRow>, u64) {
         let mut rows: Vec<ActionRow> = self

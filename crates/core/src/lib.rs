@@ -6,53 +6,46 @@
 //! decompose throughput over time, rank the accounts driving it, and — for
 //! XRP — determine how much of it carries actual economic value.
 //!
-//! ## Architecture: one accumulator sweep per chain
+//! ## Architecture: one columnar sweep per chain
 //!
-//! Every exhibit statistic is computed by a per-chain **accumulator** with a
-//! map-reduce algebra — `identity() / observe(block) / merge(other)`:
+//! Every exhibit statistic is computed by one per-chain **columnar
+//! accumulator** with a map-reduce algebra — `identity() / observe(block)
+//! / merge(other)` — and finalized into a name-keyed result struct whose
+//! accessors render the figures:
 //!
-//! - [`eos_analysis::EosSweep`] — Figure 1 (action taxonomy), Figure 3a
-//!   (category throughput), Figures 4–5 (top receivers/senders), the §4.1
-//!   detectors (WhaleEx wash trading, EIDOS boomerang mining), TPS, and the
-//!   §5 transfer graph.
-//! - [`tezos_analysis::TezosSweep`] — Figure 1 (operation taxonomy),
-//!   Figure 3b (endorsements vs payments), Figure 6 (sender dispersion),
-//!   Figure 9 (governance vote curves), §4.2 counts, TPS.
-//! - [`xrp_analysis::XrpSweep`] — Figure 1 (type distribution), Figure 3c,
-//!   Figure 7 (the value funnel), Figure 8 (most-active accounts),
-//!   Figure 12 (value flows), §4.3 spam waves, §3.3 concentration, TPS, and
-//!   the §5 payment graph.
+//! - [`EosColumnar`] → [`eos_analysis::EosSweep`] — Figure 1 (action
+//!   taxonomy), Figure 3a (category throughput), Figures 4–5 (top
+//!   receivers/senders), the §4.1 detectors (WhaleEx wash trading, EIDOS
+//!   boomerang mining), TPS, and the §5 transfer graph.
+//! - [`TezosColumnar`] → [`tezos_analysis::TezosSweep`] — Figure 1
+//!   (operation taxonomy), Figure 3b (endorsements vs payments), Figure 6
+//!   (sender dispersion), Figure 9 (governance vote curves), §4.2 counts,
+//!   TPS.
+//! - [`XrpColumnar`] → [`xrp_analysis::XrpSweep`] — Figure 1 (type
+//!   distribution), Figure 3c, Figure 7 (the value funnel), Figure 8
+//!   (most-active accounts), Figure 12 (value flows), §4.3 spam waves, §3.3
+//!   concentration, TPS, and the §5 payment graph.
+//!
+//! [`columnar`] describes the layout: names interned to dense `u32` ids at
+//! decode time, per-block struct-of-arrays batches classified through
+//! precomputed tag tables, and id-indexed counters whose merges are
+//! remapped vector adds. The same accumulators are what the streaming
+//! shards fold, what checkpoints freeze, and what wire frames carry
+//! ([`WireState`]).
 //!
 //! [`accumulate::par_sweep`] drives the sweep: rayon splits the block vector
 //! into chunks, folds each chunk through `observe`, and merges the partial
 //! accumulators in slice order. All merged state lives in exactly-mergeable
-//! domains (integer counters, count maps, [`txstat_types::BucketSeries`],
-//! vector concatenation), so the parallel result is **bit-identical** to a
-//! sequential fold regardless of worker count or chunk boundaries; the
-//! floating-point conversions happen once, at finalization, over
-//! deterministic orderings. Producing the full report therefore costs three
-//! parallel sweeps — one per chain — instead of the ~14 sequential
-//! per-exhibit scans of the naive layout.
+//! domains (integer counters, id-indexed tallies, vector concatenation),
+//! and finalization resolves ids by key, never by id order, so the parallel
+//! result is **bit-identical** to a sequential fold regardless of worker
+//! count or chunk boundaries; the floating-point conversions happen once,
+//! at finalization, over deterministic orderings.
 //!
 //! The original single-purpose scan functions (`action_distribution`,
-//! `funnel`, `top_senders`, …) remain available with unchanged signatures:
-//! they are the legacy baseline the equivalence suite and the
-//! `fused_report` criterion benches compare against, and stay convenient
-//! when only one statistic is needed.
-//!
-//! ## The columnar fast path
-//!
-//! [`columnar`] carries the same sweeps in columnar form: account/contract/
-//! action names interned to dense `u32` ids at decode time, per-block
-//! struct-of-arrays batches classified through precomputed tag tables, and
-//! id-indexed counters (vectors plus residue-sharded pair tables) whose
-//! merges are remapped vector adds instead of `HashMap` rehashes.
-//! [`columnar::EosColumnar::finalize`] (& co.) resolve ids back to names
-//! and emit the scalar sweep structs, so the columnar path is
-//! state-identical — and therefore bit-identical on every exhibit — to the
-//! scalar fold. The report pipeline computes through the columnar engine;
-//! the scalar observes remain the streaming-shard baseline and the
-//! equivalence oracle.
+//! `funnel`, `top_senders`, …) remain available with unchanged signatures.
+//! They are the reference oracle: the equivalence suite checks every
+//! finalized accessor against them.
 //!
 //! Supporting modules:
 //!
@@ -60,11 +53,6 @@
 //! - [`cluster`] — XRP entity clustering by username/parent (§3.3).
 //! - [`graph`] — mergeable transaction-graph metrics (degree distributions,
 //!   hubs, fan-out outliers), the §5 related-work lens.
-
-// The columnar wire-state serializers build wide `json!` objects; the
-// vendored macro is a token-at-a-time muncher that outgrows the default
-// recursion limit on them.
-#![recursion_limit = "1024"]
 
 pub mod accumulate;
 pub mod cluster;
@@ -82,7 +70,7 @@ pub use graph::{GraphReport, TransferGraph};
 pub use tezos_analysis::{TezosAccountStats, TezosSweep};
 pub use xrp_analysis::{XrpAccountStats, XrpSweep};
 
-/// The three per-chain accumulators behind the full report — what every
+/// The three finalized per-chain sweeps behind the full report — what every
 /// reduction path (in-process parallel sweep, streamed shards, distributed
 /// frame reduction) ultimately produces.
 pub struct ChainSweeps {

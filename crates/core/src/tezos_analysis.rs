@@ -289,8 +289,8 @@ pub fn tps(blocks: &[TezosBlock], period: Period) -> f64 {
 /// One raw governance event: (block time, curve label, voting baker).
 pub(crate) type GovEvent = (ChainTime, String, Address);
 
-/// The fused Tezos accumulator: every Tezos exhibit statistic from **one**
-/// pass over the block vector. See [`crate::accumulate`] for the algebra.
+/// The finalized Tezos sweep: every Tezos exhibit statistic of one pass
+/// over the block vector, built by [`crate::TezosColumnar::finalize`].
 #[derive(Debug, Clone)]
 pub struct TezosSweep {
     pub(crate) period: Period,
@@ -304,7 +304,7 @@ pub struct TezosSweep {
     pub(crate) sent: TopK<Address>,
     pub(crate) per_receiver: HashMap<Address, TopK<Address>>,
     // Figure 9: raw events per governance period, in block order (the
-    // sweep's order-preserving merge keeps concatenation == block order).
+    // columnar merge concatenates in range order, so order == block order).
     pub(crate) gov_events: Vec<Vec<GovEvent>>,
     // §4.2 and the headline.
     pub(crate) gov_ops_in_window: u64,
@@ -312,114 +312,6 @@ pub struct TezosSweep {
 }
 
 impl TezosSweep {
-    /// The sweep identity for an observation window and its chain's
-    /// governance period boundaries.
-    pub fn new(period: Period, periods: Vec<(PeriodKind, Period)>) -> Self {
-        let gov_events = periods.iter().map(|_| Vec::new()).collect();
-        TezosSweep {
-            period,
-            periods,
-            op_counts: HashMap::new(),
-            op_total: 0,
-            series: BucketSeries::new(period, SIX_HOURS),
-            sent: TopK::new(),
-            per_receiver: HashMap::new(),
-            gov_events,
-            gov_ops_in_window: 0,
-            txs_in_period: 0,
-        }
-    }
-
-    /// Fold one block into the sweep.
-    pub fn observe(&mut self, b: &TezosBlock) {
-        for op in &b.operations {
-            let cat = match op.kind() {
-                OperationKind::Endorsement => TezosThroughputCat::Endorsement,
-                OperationKind::Transaction => TezosThroughputCat::Transaction,
-                _ => TezosThroughputCat::Others,
-            };
-            self.series.record(b.time, cat, 1);
-        }
-        // Governance events accumulate per period window (the windows tile
-        // the chain's life, independent of the observation window).
-        for (idx, (kind, window)) in self.periods.iter().enumerate() {
-            if !window.contains(b.time) {
-                continue;
-            }
-            for op in &b.operations {
-                match &op.payload {
-                    OpPayload::Proposals { proposals } if *kind == PeriodKind::Proposal => {
-                        for p in proposals {
-                            self.gov_events[idx].push((b.time, short_hash(p), op.source));
-                        }
-                    }
-                    OpPayload::Ballot { vote, .. }
-                        if matches!(kind, PeriodKind::Exploration | PeriodKind::Promotion) =>
-                    {
-                        let label = match vote {
-                            Vote::Yay => "yay",
-                            Vote::Nay => "nay",
-                            Vote::Pass => "pass",
-                        };
-                        self.gov_events[idx].push((b.time, label.to_owned(), op.source));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if !self.period.contains(b.time) {
-            return;
-        }
-        for op in &b.operations {
-            *self.op_counts.entry(op.kind()).or_insert(0) += 1;
-            self.op_total += 1;
-            if matches!(op.kind(), OperationKind::Ballot | OperationKind::Proposals) {
-                self.gov_ops_in_window += 1;
-            }
-            if let OpPayload::Transaction { destination, .. } = &op.payload {
-                self.txs_in_period += 1;
-                self.sent.inc(op.source);
-                self.per_receiver.entry(op.source).or_default().inc(*destination);
-            }
-        }
-    }
-
-    /// Merge another partial sweep.
-    pub fn merge(&mut self, other: TezosSweep) {
-        assert_eq!(
-            self.periods, other.periods,
-            "merge requires identical governance period lists"
-        );
-        for (k, n) in other.op_counts {
-            *self.op_counts.entry(k).or_insert(0) += n;
-        }
-        self.op_total += other.op_total;
-        self.series.merge(other.series);
-        self.sent.merge(other.sent);
-        for (k, t) in other.per_receiver {
-            self.per_receiver.entry(k).or_default().merge(t);
-        }
-        for (mine, theirs) in self.gov_events.iter_mut().zip(other.gov_events) {
-            mine.extend(theirs);
-        }
-        self.gov_ops_in_window += other.gov_ops_in_window;
-        self.txs_in_period += other.txs_in_period;
-    }
-
-    /// One parallel sweep over the blocks.
-    pub fn compute(
-        blocks: &[TezosBlock],
-        period: Period,
-        periods: &[(PeriodKind, Period)],
-    ) -> Self {
-        crate::accumulate::par_sweep(
-            blocks,
-            || TezosSweep::new(period, periods.to_vec()),
-            |acc, b| acc.observe(b),
-            |a, b| a.merge(b),
-        )
-    }
-
     /// Figure 1: counts per operation kind.
     pub fn op_distribution(&self) -> (Vec<OpRow>, u64) {
         let mut rows: Vec<OpRow> = self

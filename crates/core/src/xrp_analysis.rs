@@ -122,7 +122,7 @@ pub fn throughput_series(blocks: &[LedgerBlock], period: Period) -> BucketSeries
 }
 
 /// The Figure 7 funnel: how much of the throughput carries economic value.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Funnel {
     pub total: u64,
     pub failed: u64,
@@ -532,8 +532,8 @@ pub fn tps(blocks: &[LedgerBlock], period: Period) -> f64 {
     txs as f64 / period.seconds().max(1) as f64
 }
 
-/// The fused XRP accumulator: every XRP exhibit statistic from **one** pass
-/// over the ledger vector. See [`crate::accumulate`] for the algebra.
+/// The finalized XRP sweep: every XRP exhibit statistic of one pass over
+/// the ledger vector, built by [`crate::XrpColumnar::finalize`].
 ///
 /// The oracle is consulted *per transaction* during the sweep (value
 /// classification and drop-denominated valuation are integral per tx), so
@@ -567,182 +567,6 @@ pub struct XrpSweep {
 }
 
 impl XrpSweep {
-    /// The sweep identity for an observation window.
-    pub fn new(period: Period) -> Self {
-        XrpSweep {
-            period,
-            type_counts: HashMap::new(),
-            type_total: 0,
-            series: BucketSeries::new(period, SIX_HOURS),
-            funnel: Funnel::default(),
-            per_account: HashMap::new(),
-            tags: HashMap::new(),
-            grand_total: 0,
-            xrp_volume_drops: 0,
-            sender_drops: HashMap::new(),
-            receiver_drops: HashMap::new(),
-            currencies: HashMap::new(),
-            payment_series: BucketSeries::new(period, SIX_HOURS),
-            graph: crate::graph::TransferGraph::new(),
-        }
-    }
-
-    /// Fold one ledger into the sweep, valuing payments through `oracle`.
-    pub fn observe(&mut self, b: &LedgerBlock, oracle: &RateOracle) {
-        // The two bucket series audit out-of-period events themselves
-        // (matching the legacy scans); the rest filters up front.
-        for tx in &b.transactions {
-            let cat = if !tx.result.is_success() {
-                XrpThroughputCat::Unsuccessful
-            } else {
-                match tx.tx.tx_type() {
-                    TxType::Payment => XrpThroughputCat::Payment,
-                    TxType::OfferCreate => XrpThroughputCat::OfferCreate,
-                    _ => XrpThroughputCat::Others,
-                }
-            };
-            self.series.record(b.close_time, cat, 1);
-            if tx.tx.tx_type() == TxType::Payment && tx.result.is_success() {
-                self.payment_series.record(b.close_time, (), 1);
-            }
-        }
-        if !self.period.contains(b.close_time) {
-            return;
-        }
-        for tx in &b.transactions {
-            let tx_type = tx.tx.tx_type();
-            *self.type_counts.entry(tx_type).or_insert(0) += 1;
-            self.type_total += 1;
-            self.grand_total += 1;
-
-            let e = self.per_account.entry(tx.tx.account).or_insert((0, 0, 0));
-            match tx_type {
-                TxType::OfferCreate => e.0 += 1,
-                TxType::Payment => {
-                    e.1 += 1;
-                    if let Some(tag) = tx.tx.destination_tag {
-                        self.tags.entry(tx.tx.account).or_default().inc(tag);
-                    }
-                }
-                _ => e.2 += 1,
-            }
-
-            // Figure 7 funnel.
-            self.funnel.total += 1;
-            if !tx.result.is_success() {
-                self.funnel.failed += 1;
-                continue;
-            }
-            self.funnel.successful += 1;
-            match tx_type {
-                TxType::Payment => {
-                    self.funnel.payments += 1;
-                    let has_value = match &tx.delivered {
-                        Some(a) => match a.asset {
-                            Asset::Xrp => true,
-                            Asset::Iou(ic) => oracle.has_value(ic),
-                        },
-                        None => false,
-                    };
-                    if has_value {
-                        self.funnel.payments_with_value += 1;
-                    } else {
-                        self.funnel.payments_no_value += 1;
-                    }
-                }
-                TxType::OfferCreate => {
-                    self.funnel.offers += 1;
-                    if tx.crossed {
-                        self.funnel.offers_exchanged += 1;
-                    } else {
-                        self.funnel.offers_no_exchange += 1;
-                    }
-                }
-                _ => self.funnel.others += 1,
-            }
-
-            // Figure 12 value flows + §5 graph (successful payments only).
-            if tx_type != TxType::Payment {
-                continue;
-            }
-            let destination = match &tx.tx.payload {
-                txstat_xrp::tx::TxPayload::Payment { destination, .. } => *destination,
-                _ => continue,
-            };
-            self.graph.record(tx.tx.account, destination);
-            let delivered = match &tx.delivered {
-                Some(a) => a,
-                None => continue,
-            };
-            let (ticker, valuable_drops) = match delivered.asset {
-                Asset::Xrp => {
-                    self.xrp_volume_drops += delivered.value;
-                    ("XRP".to_owned(), Some(delivered.value))
-                }
-                Asset::Iou(ic) => (
-                    ic.currency.as_str().to_owned(),
-                    oracle
-                        .value_in_drops(ic, delivered.value)
-                        .filter(|d| *d > 0)
-                        .map(|d| d as i128),
-                ),
-            };
-            let c = self.currencies.entry(ticker).or_insert((0, 0, 0));
-            c.0 += delivered.value;
-            if let Some(drops) = valuable_drops {
-                c.1 += delivered.value;
-                c.2 += drops;
-                *self.sender_drops.entry(tx.tx.account).or_insert(0) += drops;
-                *self.receiver_drops.entry(destination).or_insert(0) += drops;
-            }
-        }
-    }
-
-    /// Merge another partial sweep (associative, commutative).
-    pub fn merge(&mut self, other: XrpSweep) {
-        for (k, n) in other.type_counts {
-            *self.type_counts.entry(k).or_insert(0) += n;
-        }
-        self.type_total += other.type_total;
-        self.series.merge(other.series);
-        self.funnel.merge(other.funnel);
-        for (k, (a, b, c)) in other.per_account {
-            let e = self.per_account.entry(k).or_insert((0, 0, 0));
-            e.0 += a;
-            e.1 += b;
-            e.2 += c;
-        }
-        for (k, t) in other.tags {
-            self.tags.entry(k).or_default().merge(t);
-        }
-        self.grand_total += other.grand_total;
-        self.xrp_volume_drops += other.xrp_volume_drops;
-        for (k, v) in other.sender_drops {
-            *self.sender_drops.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.receiver_drops {
-            *self.receiver_drops.entry(k).or_insert(0) += v;
-        }
-        for (k, (a, b, c)) in other.currencies {
-            let e = self.currencies.entry(k).or_insert((0, 0, 0));
-            e.0 += a;
-            e.1 += b;
-            e.2 += c;
-        }
-        self.payment_series.merge(other.payment_series);
-        self.graph.merge(other.graph);
-    }
-
-    /// One parallel sweep over the ledgers.
-    pub fn compute(blocks: &[LedgerBlock], period: Period, oracle: &RateOracle) -> Self {
-        crate::accumulate::par_sweep(
-            blocks,
-            || XrpSweep::new(period),
-            |acc, b| acc.observe(b, oracle),
-            |a, b| a.merge(b),
-        )
-    }
-
     /// Figure 1: counts per transaction type.
     pub fn tx_distribution(&self) -> (Vec<TxRow>, u64) {
         let mut rows: Vec<TxRow> = self

@@ -546,6 +546,38 @@ mod tests {
     }
 
     #[test]
+    fn retired_json_payload_assignment_is_refused_and_the_worker_keeps_serving() {
+        use txstat_wire::fleet::{read_response, FLEET_VERSION, REQUEST_MAGIC};
+        let addr = spawn_echo_worker(None);
+        let body = serde_json::to_vec(&json!({
+            "start": 0, "end": 5, "shards": 1, "payload": "json", "meta": null,
+        }))
+        .expect("serializes");
+        let mut req = Vec::new();
+        req.extend_from_slice(&REQUEST_MAGIC);
+        req.extend_from_slice(&FLEET_VERSION.to_le_bytes());
+        req.extend_from_slice(&txstat_wire::content_hash(&body, &[]).to_le_bytes());
+        req.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        req.extend_from_slice(&body);
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        stream.write_all(&req).expect("write request");
+        match read_response(&mut stream) {
+            Err(ProtocolError::Remote(msg)) => assert!(msg.contains("payload"), "{msg}"),
+            other => panic!("expected a typed remote refusal, got {other:?}"),
+        }
+        let a = Assignment {
+            start: 0,
+            end: 5,
+            shards: 1,
+            payload: PayloadFormat::Bin,
+            meta: json!({"t": 6}),
+        };
+        let frames = request_frames(&addr, &a, Duration::from_secs(5)).expect("next request served");
+        assert_eq!((frames[0].header.start, frames[0].header.end), (0, 5));
+    }
+
+    #[test]
     fn fleet_of_the_dead_exhausts_with_provenance() {
         let dead = {
             let l = TcpListener::bind("127.0.0.1:0").expect("bind");

@@ -135,20 +135,20 @@ mod tests {
         let chain = txstat_workload::eos::build_eos(&sc);
         let blocks = chain.blocks();
         let period = sc.period;
-        let direct = txstat_core::EosSweep::compute(blocks, period);
+        let direct = txstat_core::EosColumnar::compute(blocks, period);
 
         let text = source::eos_to_ndjson(blocks);
         let (streamed, stats) = tokio::runtime::block_on(async {
             let opts = IngestOptions { shards: 3, channel_capacity: 16, label: "" };
             let (sink, pool) = spawn_sharded(
                 opts,
-                move || txstat_core::EosSweep::new(period),
-                |acc: &mut txstat_core::EosSweep, _n, b: &txstat_eos::Block| acc.observe(b),
+                move || txstat_core::EosColumnar::new(period),
+                |acc: &mut txstat_core::EosColumnar, _n, b: &txstat_eos::Block| acc.observe(b),
             );
             let producer = tokio::spawn(source::eos_replay(text).produce(sink));
             let outcome = pool.finish().await;
             let stats = producer.await.expect("producer").expect("replay parses");
-            (outcome.merged(|a, b| a.merge(b)), stats)
+            (outcome.merged(|a, b| a.merge(b)).finalize(), stats)
         });
         assert_eq!(stats.blocks, blocks.len() as u64);
         assert!(stats.wire_bytes > 0);

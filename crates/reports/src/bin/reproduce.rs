@@ -1,10 +1,12 @@
 //! The end-to-end reproduction binary, as subcommands:
 //!
 //! ```text
-//! reproduce report [--small] [--seed N] [--crawl [--materialize]] [--out FILE]
+//! reproduce report [--small] [--seed N] [--crawl] [--out FILE]
 //!                  [--archive DIR]
 //!     Generate the scenario and render every exhibit (the classic run).
-//!     --archive DIR cold-starts from an archived corpus instead of
+//!     --crawl measures it over the loopback RPC crawl, streaming every
+//!     fetched block into sharded sweep accumulators. --archive DIR
+//!     cold-starts from an archived corpus instead of
 //!     generating: the report is byte-identical and no chain is built.
 //!
 //! reproduce archive --out DIR [--small] [--seed N] [--segment-blocks N]
@@ -25,14 +27,12 @@
 //!     cold-start from the corpus.
 //!
 //! reproduce shard --range A..B --out FILE [--small] [--seed N] [--shards K]
-//!                 [--payload bin|json]
 //! reproduce shard --listen ADDR [--max-requests N] [--timeout-ms MS]
 //!                 [--small] [--seed N]
 //!     One distributed shard worker. File mode sweeps block positions
 //!     [A, B) of each chain into columnar accumulators and writes them as
-//!     wire frames (txstat_wire); FILE "-" writes to stdout. --payload
-//!     picks the frame encoding: bin (schema v2 binary columns, default)
-//!     or json (v1 frames old reducers still read). Socket mode
+//!     schema-v2 wire frames (txstat_wire, binary column payloads); FILE
+//!     "-" writes to stdout. Socket mode
 //!     (--listen) binds a TCP accept loop instead and answers fleet
 //!     range-assignment requests until killed (or until --max-requests
 //!     assignments have been served — the deterministic way to die
@@ -48,7 +48,7 @@
 //!
 //! reproduce reduce FRAME-FILE... [--out FILE]
 //! reproduce reduce --connect ADDR,ADDR,... [--small] [--seed N]
-//!                  [--shards K] [--payload bin|json] [--chunks N]
+//!                  [--shards K] [--chunks N]
 //!                  [--timeout-ms MS] [--retries N] [--backoff-ms MS]
 //!                  [--out FILE] [--metrics-out FILE]
 //!     Central reducer: validate + merge shard frames (schema version,
@@ -116,9 +116,8 @@
 //!     end.
 //! ```
 //!
-//! The pre-subcommand flag spelling (`reproduce --small --crawl …`) still
-//! works and maps onto `report`. Unrecognized flags or subcommands print
-//! usage and exit non-zero.
+//! With no arguments `reproduce` runs `report`. Unrecognized flags or
+//! subcommands print usage and exit non-zero.
 //!
 //! Observability: `report`, `shard`, `reduce`, `follow`, and `serve` all
 //! take `--trace-out FILE` (write one NDJSON span event per pipeline stage
@@ -156,8 +155,7 @@ usage: reproduce <subcommand> [options]
 
 subcommands:
   report   render every exhibit from the generated scenario (default)
-           [--small] [--seed N] [--crawl [--materialize]] [--out FILE]
-           [--archive DIR]
+           [--small] [--seed N] [--crawl] [--out FILE] [--archive DIR]
   archive  generate (or --crawl) the scenario once and seal it into an
            on-disk segmented corpus other subcommands cold-start from
            (--archive DIR)
@@ -170,8 +168,6 @@ subcommands:
   shard    sweep block positions [A, B) into a wire-frame bundle, or serve
            ranges over a socket as one fleet worker
            --range A..B --out FILE [--small] [--seed N] [--shards K]
-           [--payload bin|json]  (bin = schema v2 binary columns, default;
-                                  json = v1 frames for old reducers)
            --listen ADDR [--max-requests N] [--timeout-ms MS]
            [--archive DIR]  (serve block ranges straight from the mapped
                              segments — no chain generation)
@@ -180,8 +176,8 @@ subcommands:
            driving a socket worker fleet (retry/backoff + re-dispatch)
            FRAME-FILE... [--out FILE]
            --connect ADDR,ADDR,... [--small] [--seed N] [--shards K]
-           [--payload bin|json] [--chunks N] [--timeout-ms MS]
-           [--retries N] [--backoff-ms MS] [--metrics-out FILE]
+           [--chunks N] [--timeout-ms MS] [--retries N] [--backoff-ms MS]
+           [--metrics-out FILE]
            [--archive DIR]
   follow   incremental re-render loop over the appending chains, with
            reorg-safe rollback via per-batch content marks
@@ -207,9 +203,7 @@ subcommands:
 
 report/shard/reduce/follow/serve also take:
   --trace-out FILE   write NDJSON span events per pipeline stage to FILE
-  --timings          print a per-stage wall-time summary table on stderr
-
-Legacy spelling `reproduce [--small] [--crawl] ...` maps onto `report`.";
+  --timings          print a per-stage wall-time summary table on stderr";
 
 /// Strictly parsed arguments: any flag outside the subcommand's allow-list
 /// is an error (nothing is ignored silently).
@@ -359,7 +353,7 @@ fn write_output(text: &str, out: Option<&str>) -> Result<(), String> {
 fn cmd_report(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(
         raw,
-        &["--small", "--crawl", "--materialize", "--timings"],
+        &["--small", "--crawl", "--timings"],
         &["--seed", "--out", "--trace-out", "--archive", "--metrics-out"],
         false,
     )?;
@@ -399,16 +393,11 @@ fn cmd_report(raw: &[String]) -> Result<(), String> {
     let data = if args.has("--crawl") {
         let opts = if args.has("--small") { CrawlOptions::default() } else { CrawlOptions::paper() };
         let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
-        if args.has("--materialize") {
-            eprintln!("generating chains and crawling them over loopback RPC (materializing)…");
-            rt.block_on(generate_with_crawl(&sc, &opts)).map_err(|e| e.to_string())?
-        } else {
-            eprintln!(
-                "generating chains and streaming the crawl into {} sweep shards per chain…",
-                opts.shards
-            );
-            rt.block_on(generate_with_crawl_streamed(&sc, &opts)).map_err(|e| e.to_string())?
-        }
+        eprintln!(
+            "generating chains and streaming the crawl into {} sweep shards per chain…",
+            opts.shards
+        );
+        rt.block_on(generate_with_crawl_streamed(&sc, &opts)).map_err(|e| e.to_string())?
     } else {
         eprintln!("generating chains (direct read; pass --crawl for the full RPC path)…");
         generate(&sc)
@@ -642,13 +631,7 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
                     "assignment meta does not describe this worker's scenario".to_owned()
                 );
             }
-            eprintln!(
-                "assignment [{}, {}): {} shard(s), {} payload",
-                a.start,
-                a.end,
-                a.shards,
-                a.payload.tag()
-            );
+            eprintln!("assignment [{}, {}): {} shard(s)", a.start, a.end, a.shards);
             ctx.frames(a.meta.clone(), a.start, a.end, a.shards, a.payload)
         })
         .map_err(|e| format!("worker accept loop: {e}"))?;
@@ -672,7 +655,6 @@ fn cmd_shard(raw: &[String]) -> Result<(), String> {
             "--out",
             "--range",
             "--shards",
-            "--payload",
             "--trace-out",
             "--listen",
             "--max-requests",
@@ -693,24 +675,18 @@ fn cmd_shard(raw: &[String]) -> Result<(), String> {
         parse_range(args.get("--range").ok_or("shard needs --range A..B (or --listen ADDR)")?)?;
     let out = args.get("--out").ok_or("shard needs --out FILE (\"-\" for stdout)")?;
     let shards: usize = args.parsed("--shards", 2)?;
-    let payload = match args.get("--payload") {
-        None => PayloadFormat::Bin,
-        Some(s) => PayloadFormat::parse(s)
-            .ok_or_else(|| format!("--payload wants json or bin, got {s:?}"))?,
-    };
 
     let started = std::time::Instant::now();
     let (ctx, meta) = shard_context_of(&args)?;
-    let frames = ctx.frames(meta, start, end, shards, payload)?;
+    let frames = ctx.frames(meta, start, end, shards, PayloadFormat::Bin)?;
     for f in &frames {
         eprintln!(
-            "{}: swept positions [{}, {}) — {} blocks (schema v{}, {} payload)",
+            "{}: swept positions [{}, {}) — {} blocks (schema v{})",
             f.header.chain,
             f.header.start,
             f.header.end,
             f.header.blocks,
             f.header.schema_version,
-            f.header.payload_format.tag(),
         );
     }
     let bytes = txstat_wire::encode_all(&frames);
@@ -743,11 +719,6 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .map(String::from)
         .collect();
     let shards: usize = args.parsed("--shards", 2)?;
-    let payload = match args.get("--payload") {
-        None => PayloadFormat::Bin,
-        Some(s) => PayloadFormat::parse(s)
-            .ok_or_else(|| format!("--payload wants json or bin, got {s:?}"))?,
-    };
     txstat_ingest::fleet::register_metrics();
     // The reducer's own dataset: cold-started from the corpus with
     // `--archive` (the scenario comes from the manifest), generated from
@@ -780,7 +751,7 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .len()
         .max(data.tezos_blocks.len())
         .max(data.xrp_blocks.len()) as u64;
-    let labeled = reduce_fleet(&cfg, total, shards, payload, scenario_meta(&sc, &mode))
+    let labeled = reduce_fleet(&cfg, total, shards, PayloadFormat::Bin, scenario_meta(&sc, &mode))
         .map_err(|e| e.to_string())?;
     eprintln!("fleet returned {} frames; merging…", labeled.len());
     reduce_frames_labeled_into(data, &labeled)
@@ -796,7 +767,6 @@ fn cmd_reduce(raw: &[String]) -> Result<(), String> {
             "--connect",
             "--seed",
             "--shards",
-            "--payload",
             "--chunks",
             "--timeout-ms",
             "--retries",
@@ -1554,10 +1524,6 @@ fn run() -> Result<(), String> {
         Some("chaos") => cmd_chaos(&argv[1..]),
         Some("serve") => cmd_serve(&argv[1..]),
         Some("query") => cmd_query(&argv[1..]),
-        Some(flag) if flag.starts_with('-') => {
-            // Compatibility shim: the pre-subcommand spelling is a report.
-            cmd_report(&argv)
-        }
         Some(other) => Err(format!("unknown subcommand {other:?}")),
     }
 }

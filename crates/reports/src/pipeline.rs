@@ -18,9 +18,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
-use txstat_core::{
-    ClusterInfo, EosColumnar, EosSweep, TezosColumnar, TezosSweep, XrpColumnar, XrpSweep,
-};
+use txstat_core::{ClusterInfo, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat_crawler::{
     benchmark_endpoints, crawl_eos, crawl_tezos, crawl_xrp, eos_head, fetch_account_meta,
     fetch_exchange_rate, fetch_exchanges, shortlist, tezos_head, xrp_head, Advertised,
@@ -101,13 +99,11 @@ pub type ChainBounds = (Option<(u64, ChainTime)>, Option<(u64, ChainTime)>);
 pub use txstat_core::ChainSweeps;
 
 impl PipelineData {
-    /// The fused analytics state: computed on first use with one columnar
-    /// rayon map-reduce sweep per chain (interned ids, batched
-    /// classification, remap merges — see `txstat_core::columnar`), then
-    /// shared by every exhibit. The columnar engine finalizes into the
-    /// scalar sweep structs, so every downstream accessor is unchanged and
-    /// the report is bit-identical to a scalar fold. On the streamed path
-    /// the shard reducer has already filled this.
+    /// The analytics state: computed on first use with one columnar rayon
+    /// map-reduce sweep per chain (interned ids, batched classification,
+    /// remap merges — see `txstat_core::columnar`), finalized into the
+    /// name-keyed sweep structs, then shared by every exhibit. On the
+    /// streamed path the shard reducer has already filled this.
     pub fn sweeps(&self) -> &ChainSweeps {
         self.sweeps.get_or_init(|| {
             let period = self.scenario.period;
@@ -133,21 +129,6 @@ impl PipelineData {
     /// Returns false if the sweeps were already computed.
     pub fn install_sweeps(&self, sweeps: ChainSweeps) -> bool {
         self.sweeps.set(sweeps).is_ok()
-    }
-
-    /// Pin the scalar (non-columnar) sweeps as this dataset's analytics
-    /// state. The equivalence suites use this to render the full report
-    /// through the scalar engine and compare it bit-for-bit against the
-    /// columnar default. Returns false if the sweeps were already computed.
-    pub fn force_scalar_sweeps(&self) -> bool {
-        let period = self.scenario.period;
-        self.sweeps
-            .set(ChainSweeps {
-                eos: EosSweep::compute(&self.eos_blocks, period),
-                tezos: TezosSweep::compute(&self.tezos_blocks, period, &self.governance_periods),
-                xrp: XrpSweep::compute(&self.xrp_blocks, period, &self.oracle),
-            })
-            .is_ok()
     }
 
     /// First/last EOS block `(number, time)` — from the materialized chain
@@ -1084,7 +1065,7 @@ pub async fn generate_with_crawl_streamed(
     let xrp_stats = xrp_res??;
 
     // Reduce: merge the per-shard columnar states in index order, then
-    // resolve interned ids once (finalize) into the scalar sweeps the
+    // resolve interned ids once (finalize) into the name-keyed sweeps the
     // exhibits render from.
     let (eos_col, eos_info) = reduce_sweep_shards("eos", eos_out, opts, EosColumnar::merge);
     let eos_sweep = eos_col.finalize();
@@ -1349,9 +1330,9 @@ impl ShardContext {
     }
 
     /// Sweep the block-position range `[start, end)` of each chain
-    /// (clamped to the chain head) into the three wire frames in the
-    /// requested payload encoding (binary columns by default; JSON for
-    /// fleets whose reducer predates schema v2). The archived source
+    /// (clamped to the chain head) into the three wire frames; `payload`
+    /// names their encoding, of which [`PayloadFormat::Bin`] is the only
+    /// one. The archived source
     /// decodes only the segments overlapping the range and folds them at
     /// their absolute base position — the emitted frames are
     /// byte-identical to a whole-chain sweep of the same range.
@@ -1374,8 +1355,8 @@ impl ShardContext {
                 worker.xrp_frame(xrp, period, &self.oracle),
             ]
         };
-        let mut worker =
-            ShardWorker { start, end, base: 0, shards: shards.max(1), payload, meta };
+        let PayloadFormat::Bin = payload;
+        let mut worker = ShardWorker { start, end, base: 0, shards: shards.max(1), meta };
         match &self.source {
             ShardSource::Generated { eos, tezos, xrp } => Ok(build(&worker, eos, tezos, xrp)),
             ShardSource::Archived { archive, cache, .. } => {

@@ -1,8 +1,8 @@
 //! The multi-process acceptance proof: N separate `reproduce shard` OS
 //! processes over disjoint block ranges, reduced centrally by a
 //! `reproduce reduce` process, render a report **byte-identical** to one
-//! `reproduce report` process over the same scenario/seed — and the
-//! legacy pre-subcommand flag spelling still works via the compat shim.
+//! `reproduce report` process over the same scenario/seed — and retired
+//! or unknown arguments exit with usage.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -103,51 +103,6 @@ fn three_shard_processes_reduce_to_the_identical_report() {
         read(&dir, "direct.txt"),
         read(&dir, "reduced.txt"),
         "reduced report differs from the single-process report"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A mixed fleet: one shard still emitting v1 JSON frames (`--payload
-/// json`) between two v2 binary shards reduces to the byte-identical
-/// report — payload schema rollouts don't partition the fleet.
-#[test]
-fn mixed_json_and_bin_shards_reduce_to_the_identical_report() {
-    let dir = tempdir("mixed");
-
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
-
-    for (range, payload, out) in [
-        ("0..250", "bin", "a.frames"),
-        ("250..400", "json", "b.frames"),
-        ("400..99999999", "bin", "c.frames"),
-    ] {
-        let shard = reproduce(
-            &dir,
-            &[
-                "shard", "--range", range, "--small", "--seed", "7", "--payload", payload,
-                "--out", out,
-            ],
-        );
-        assert!(
-            shard.status.success(),
-            "shard {range} ({payload}) failed: {}",
-            String::from_utf8_lossy(&shard.stderr)
-        );
-        let stderr = String::from_utf8_lossy(&shard.stderr);
-        let expect = if payload == "json" { "schema v1, json payload" } else { "schema v2, bin payload" };
-        assert!(stderr.contains(expect), "shard {range} stderr: {stderr}");
-    }
-
-    let reduce = reproduce(
-        &dir,
-        &["reduce", "a.frames", "b.frames", "c.frames", "--out", "reduced.txt"],
-    );
-    assert!(reduce.status.success(), "reduce failed: {}", String::from_utf8_lossy(&reduce.stderr));
-    assert_eq!(
-        read(&dir, "direct.txt"),
-        read(&dir, "reduced.txt"),
-        "mixed-payload reduced report differs from the single-process report"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -311,20 +266,24 @@ fn follow_recovers_from_an_injected_reorg() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An unknown payload encoding is a usage error (exit 2), like every other
-/// bad argument.
+/// Retired options are usage errors (exit 2) like any unknown argument:
+/// the frame-encoding and crawl-baseline flags, and the pre-subcommand
+/// flag spelling.
 #[test]
-fn unknown_payload_value_exits_with_usage() {
-    let dir = tempdir("payload");
-    let out = reproduce(
-        &dir,
-        &["shard", "--range", "0..5", "--payload", "msgpack", "--out", "x.frames"],
-    );
-    assert!(!out.status.success());
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--payload wants json or bin"), "stderr: {stderr}");
-    assert!(stderr.contains("usage: reproduce"), "stderr: {stderr}");
+fn retired_options_exit_with_usage() {
+    let dir = tempdir("retired");
+    for (args, needle) in [
+        (&["shard", "--payload", "bin", "--range", "0..5", "--out", "x.frames"][..], "unrecognized flag --payload"),
+        (&["reduce", "--connect", "127.0.0.1:9", "--payload", "bin"][..], "unrecognized flag --payload"),
+        (&["report", "--small", "--crawl", "--materialize"][..], "unrecognized flag --materialize"),
+        (&["--small", "--seed", "9"][..], "unknown subcommand \"--small\""),
+    ] {
+        let out = reproduce(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains("usage: reproduce"), "{args:?} printed no usage: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -565,17 +524,6 @@ fn archive_flag_misuse_exits_with_usage() {
         assert!(stderr.contains(needle), "{args:?} stderr: {stderr}");
         assert!(stderr.contains("usage: reproduce"), "{args:?} printed no usage: {stderr}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn legacy_flag_spelling_still_reports() {
-    let dir = tempdir("compat");
-    let legacy = reproduce(&dir, &["--small", "--seed", "9", "--out", "legacy.txt"]);
-    assert!(legacy.status.success(), "{}", String::from_utf8_lossy(&legacy.stderr));
-    let modern = reproduce(&dir, &["report", "--small", "--seed", "9", "--out", "modern.txt"]);
-    assert!(modern.status.success());
-    assert_eq!(read(&dir, "legacy.txt"), read(&dir, "modern.txt"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

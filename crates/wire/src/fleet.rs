@@ -306,6 +306,21 @@ mod tests {
     }
 
     #[test]
+    fn retired_json_payload_assignment_is_a_typed_body_error() {
+        let body = serde_json::to_vec(&json!({
+            "start": 0, "end": 5, "shards": 1, "payload": "json", "meta": null,
+        }))
+        .unwrap();
+        let mut req = Vec::new();
+        req.extend_from_slice(&REQUEST_MAGIC);
+        req.extend_from_slice(&FLEET_VERSION.to_le_bytes());
+        req.extend_from_slice(&content_hash(&body, &[]).to_le_bytes());
+        req.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        req.extend_from_slice(&body);
+        assert!(matches!(read_assignment(&mut req.as_slice()), Err(ProtocolError::Body(_))));
+    }
+
+    #[test]
     fn corrupt_request_body_is_a_hash_mismatch() {
         let mut buf = Vec::new();
         write_assignment(&mut buf, &assignment()).expect("writes");

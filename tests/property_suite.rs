@@ -173,7 +173,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fused-engine equivalence: the parallel accumulator sweeps must reproduce
+// Engine equivalence: the parallel columnar sweeps must reproduce
 // the legacy per-exhibit scans exactly (integer state) / to float tolerance
 // (finalization-only f64), and the merge algebra must satisfy
 // identity/associativity/commutativity on split block ranges.
@@ -184,7 +184,9 @@ mod fused {
     use txstat::core::eos_analysis as eos_a;
     use txstat::core::tezos_analysis as tz_a;
     use txstat::core::xrp_analysis as x_a;
-    use txstat::core::{ClusterInfo, EosSweep, TezosSweep, XrpSweep};
+    use txstat::core::{
+        ClusterInfo, EosColumnar, EosSweep, TezosColumnar, TezosSweep, XrpColumnar, XrpSweep,
+    };
     use txstat::eos::{Action, ActionData, Block, Name, Transaction};
     use txstat::tezos::{Address, OpPayload, Operation, PeriodKind, TezosBlock, Vote};
     use txstat::types::amount::SymCode;
@@ -351,14 +353,6 @@ mod fused {
     }
 
     proptest! {
-        /// The fused EOS sweep equals every legacy per-exhibit scan.
-        #[test]
-        fn eos_sweep_equals_legacy_scans(spec in eos_strategy()) {
-            let blocks = eos_blocks(&spec);
-            let sweep = EosSweep::compute(&blocks, window());
-            assert_eos_equiv(&sweep, &blocks, window())?;
-        }
-
         /// The columnar EOS sweep (interned ids, batched classification,
         /// remap merges) finalizes to the same outputs as every legacy
         /// per-exhibit scan.
@@ -395,27 +389,6 @@ mod fused {
             let mut with_identity = EosColumnar::new(window());
             with_identity.merge(fold(&blocks));
             assert_eos_equiv(&with_identity.finalize(), &blocks, window())?;
-        }
-
-        /// merge(identity, x) == x, and split-range merges at any pivot (plus
-        /// the reversed, "commuted" order) equal the whole-range sweep.
-        #[test]
-        fn eos_merge_algebra(spec in eos_strategy(), pivot in 0usize..12) {
-            let blocks = eos_blocks(&spec);
-            let pivot = pivot.min(blocks.len());
-            let whole = EosSweep::compute(&blocks, window());
-
-            let mut with_identity = EosSweep::new(window());
-            with_identity.merge(whole.clone());
-            assert_eos_equiv(&with_identity, &blocks, window())?;
-
-            let mut split = EosSweep::compute(&blocks[..pivot], window());
-            split.merge(EosSweep::compute(&blocks[pivot..], window()));
-            assert_eos_equiv(&split, &blocks, window())?;
-
-            let mut commuted = EosSweep::compute(&blocks[pivot..], window());
-            commuted.merge(EosSweep::compute(&blocks[..pivot], window()));
-            assert_eos_equiv(&commuted, &blocks, window())?;
         }
     }
 
@@ -539,14 +512,6 @@ mod fused {
     }
 
     proptest! {
-        /// The fused Tezos sweep equals every legacy per-exhibit scan.
-        #[test]
-        fn tezos_sweep_equals_legacy_scans(spec in tz_strategy()) {
-            let blocks = tz_blocks(&spec);
-            let sweep = TezosSweep::compute(&blocks, window(), &tz_periods());
-            assert_tz_equiv(&sweep, &blocks, window())?;
-        }
-
         /// The columnar Tezos sweep finalizes to the same outputs as every
         /// legacy per-exhibit scan, at any merge pivot.
         #[test]
@@ -569,20 +534,26 @@ mod fused {
             assert_tz_equiv(&split.finalize(), &blocks, window())?;
         }
 
-        /// Identity/split-merge/commuted-merge algebra for the Tezos sweep.
+        /// Identity/split-merge algebra for the columnar Tezos sweep.
         #[test]
         fn tezos_merge_algebra(spec in tz_strategy(), pivot in 0usize..12) {
+            use txstat::core::TezosColumnar;
             let blocks = tz_blocks(&spec);
             let pivot = pivot.min(blocks.len());
-            let whole = TezosSweep::compute(&blocks, window(), &tz_periods());
+            let fold = |range: &[TezosBlock]| {
+                let mut acc = TezosColumnar::new(window(), tz_periods());
+                for b in range {
+                    acc.observe(b);
+                }
+                acc
+            };
+            let mut with_identity = TezosColumnar::new(window(), tz_periods());
+            with_identity.merge(fold(&blocks));
+            assert_tz_equiv(&with_identity.finalize(), &blocks, window())?;
 
-            let mut with_identity = TezosSweep::new(window(), tz_periods());
-            with_identity.merge(whole.clone());
-            assert_tz_equiv(&with_identity, &blocks, window())?;
-
-            let mut split = TezosSweep::compute(&blocks[..pivot], window(), &tz_periods());
-            split.merge(TezosSweep::compute(&blocks[pivot..], window(), &tz_periods()));
-            assert_tz_equiv(&split, &blocks, window())?;
+            let mut split = fold(&blocks[..pivot]);
+            split.merge(fold(&blocks[pivot..]));
+            assert_tz_equiv(&split.finalize(), &blocks, window())?;
         }
     }
 
@@ -807,14 +778,6 @@ mod fused {
     }
 
     proptest! {
-        /// The fused XRP sweep equals every legacy per-exhibit scan.
-        #[test]
-        fn xrp_sweep_equals_legacy_scans(spec in x_strategy()) {
-            let blocks = x_blocks(&spec);
-            let sweep = XrpSweep::compute(&blocks, window(), &oracle());
-            assert_x_equiv(&sweep, &blocks, window())?;
-        }
-
         /// The columnar XRP sweep finalizes to the same outputs as every
         /// legacy per-exhibit scan, at any merge pivot.
         #[test]
@@ -838,25 +801,32 @@ mod fused {
             assert_x_equiv(&split.finalize(), &blocks, window())?;
         }
 
-        /// Identity/split-merge/commuted-merge algebra for the XRP sweep.
+        /// Identity/split-merge/commuted-merge algebra for the columnar XRP
+        /// sweep.
         #[test]
         fn xrp_merge_algebra(spec in x_strategy(), pivot in 0usize..12) {
+            use txstat::core::XrpColumnar;
             let blocks = x_blocks(&spec);
             let pivot = pivot.min(blocks.len());
             let ora = oracle();
-            let whole = XrpSweep::compute(&blocks, window(), &ora);
+            let fold = |range: &[LedgerBlock]| {
+                let mut acc = XrpColumnar::new(window());
+                for b in range {
+                    acc.observe(b, &ora);
+                }
+                acc
+            };
+            let mut with_identity = XrpColumnar::new(window());
+            with_identity.merge(fold(&blocks));
+            assert_x_equiv(&with_identity.finalize(), &blocks, window())?;
 
-            let mut with_identity = XrpSweep::new(window());
-            with_identity.merge(whole.clone());
-            assert_x_equiv(&with_identity, &blocks, window())?;
+            let mut split = fold(&blocks[..pivot]);
+            split.merge(fold(&blocks[pivot..]));
+            assert_x_equiv(&split.finalize(), &blocks, window())?;
 
-            let mut split = XrpSweep::compute(&blocks[..pivot], window(), &ora);
-            split.merge(XrpSweep::compute(&blocks[pivot..], window(), &ora));
-            assert_x_equiv(&split, &blocks, window())?;
-
-            let mut commuted = XrpSweep::compute(&blocks[pivot..], window(), &ora);
-            commuted.merge(XrpSweep::compute(&blocks[..pivot], window(), &ora));
-            assert_x_equiv(&commuted, &blocks, window())?;
+            let mut commuted = fold(&blocks[pivot..]);
+            commuted.merge(fold(&blocks[..pivot]));
+            assert_x_equiv(&commuted.finalize(), &blocks, window())?;
         }
     }
 
@@ -900,15 +870,16 @@ mod fused {
             capacity in 1usize..8,
         ) {
             let blocks = eos_blocks(&spec);
-            let whole = EosSweep::compute(&blocks, window());
+            let whole = EosColumnar::compute(&blocks, window());
             let streamed = stream_sharded(
                 blocks.iter().map(|b| (b.num, b.clone())).collect(),
                 shards,
                 capacity,
-                move || EosSweep::new(window()),
-                |acc: &mut EosSweep, _n, b: &Block| acc.observe(b),
+                move || EosColumnar::new(window()),
+                |acc: &mut EosColumnar, _n, b: &Block| acc.observe(b),
                 |a, b| a.merge(b),
-            );
+            )
+            .finalize();
             // == the legacy per-figure scans (full equivalence battery).
             assert_eos_equiv(&streamed, &blocks, window())?;
             // == par_sweep over the materialized slice, on the figure outputs.
@@ -932,16 +903,17 @@ mod fused {
         ) {
             let blocks = x_blocks(&spec);
             let ora = oracle();
-            let whole = XrpSweep::compute(&blocks, window(), &ora);
+            let whole = XrpColumnar::compute(&blocks, window(), &ora);
             let shard_ora = oracle();
             let streamed = stream_sharded(
                 blocks.iter().map(|b| (b.index, b.clone())).collect(),
                 shards,
                 capacity,
-                move || XrpSweep::new(window()),
-                move |acc: &mut XrpSweep, _n, b: &LedgerBlock| acc.observe(b, &shard_ora),
+                move || XrpColumnar::new(window()),
+                move |acc: &mut XrpColumnar, _n, b: &LedgerBlock| acc.observe(b, &shard_ora),
                 |a, b| a.merge(b),
-            );
+            )
+            .finalize();
             assert_x_equiv(&streamed, &blocks, window())?;
             prop_assert_eq!(streamed.tps(), whole.tps());
             let f = streamed.funnel();
@@ -962,10 +934,11 @@ mod fused {
                 blocks.iter().map(|b| (b.level, b.clone())).collect(),
                 shards,
                 capacity,
-                move || TezosSweep::new(window(), tz_periods()),
-                |acc: &mut TezosSweep, _n, b: &TezosBlock| acc.observe(b),
+                move || TezosColumnar::new(window(), tz_periods()),
+                |acc: &mut TezosColumnar, _n, b: &TezosBlock| acc.observe(b),
                 |a, b| a.merge(b),
-            );
+            )
+            .finalize();
             assert_tz_equiv(&streamed, &blocks, window())?;
         }
 
@@ -980,20 +953,20 @@ mod fused {
             let blocks = eos_blocks(&spec);
             let pivot = pivot.min(blocks.len());
             let mut cp = txstat::ingest::Checkpoint {
-                shards: vec![EosSweep::new(window()); shards],
+                shards: vec![EosColumnar::new(window()); shards],
                 counts: vec![0; shards],
                 low: 1,
                 high: 0,
                 marks: vec![],
             };
-            let observe = |a: &mut EosSweep, _n: u64, b: &&Block| a.observe(b);
+            let observe = |a: &mut EosColumnar, _n: u64, b: &&Block| a.observe(b);
             cp.observe_tail(blocks[..pivot].iter().map(|b| (b.num, b)), observe)
                 .expect("prefix is ascending");
             // Appending the tail re-observes only the new blocks.
             cp.observe_tail(blocks[pivot..].iter().map(|b| (b.num, b)), observe)
                 .expect("tail extends the range");
             prop_assert_eq!(cp.observed(), blocks.len() as u64);
-            let merged = cp.merged(|a, b| a.merge(b));
+            let merged = cp.merged(|a, b| a.merge(b)).finalize();
             assert_eos_equiv(&merged, &blocks, window())?;
             // Re-observing the prefix is rejected (would double-count).
             if !blocks.is_empty() {
@@ -1019,7 +992,7 @@ mod fused {
         let blocks = eos_blocks(&spec);
         let at = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| EosSweep::compute(&blocks, window()))
+            pool.install(|| EosColumnar::compute(&blocks, window()))
         };
         let base = at(1);
         for threads in [2, 4, 8] {

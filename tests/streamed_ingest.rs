@@ -3,36 +3,9 @@
 //! pipeline, while provably never holding a full chain in memory on the
 //! measurement side.
 
-use txstat::reports::{
-    generate, generate_with_crawl, generate_with_crawl_streamed, render_all, CrawlOptions,
-};
+use txstat::reports::{generate_with_crawl, generate_with_crawl_streamed, render_all, CrawlOptions};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
-
-/// The columnar sweep engine (interned accounts, batched classification,
-/// two-level sharded counters) must render the *full report* bit-identically
-/// to the scalar sweeps it replaces on the hot path.
-#[test]
-fn columnar_report_is_bit_identical_to_scalar_sweeps() {
-    let mut sc = Scenario::small(17);
-    sc.period = Period::new(ChainTime::from_ymd(2019, 10, 28), ChainTime::from_ymd(2019, 11, 3));
-
-    // Same dataset twice: one renders through the default (columnar)
-    // engine, the other is pinned to the scalar sweeps first.
-    let columnar = generate(&sc);
-    let scalar = generate(&sc);
-    assert!(scalar.force_scalar_sweeps(), "sweeps must not be computed yet");
-
-    assert_eq!(render_all(&columnar), render_all(&scalar));
-
-    let c_rows = txstat::reports::comparison(&columnar);
-    let s_rows = txstat::reports::comparison(&scalar);
-    assert_eq!(c_rows.len(), s_rows.len());
-    for (c, s) in c_rows.iter().zip(&s_rows) {
-        assert_eq!(&c.measured, &s.measured, "{}", c.metric);
-        assert_eq!(c.within_band, s.within_band, "{}", c.metric);
-    }
-}
 
 #[tokio::test]
 async fn streamed_crawl_matches_materializing_crawl() {

@@ -1,16 +1,16 @@
 //! Cross-process reduction equivalence: splitting a block set into k wire
-//! frames (random cuts, random in-frame shard counts, random **payload
-//! formats** — schema v2 binary columns mixed with v1 JSON), round-tripping
-//! every frame through the `txstat_wire` codec *bytes*, and reducing them
+//! frames (random cuts, random in-frame shard counts), round-tripping every
+//! frame through the `txstat_wire` codec *bytes*, and reducing them
 //! centrally must produce sweeps bit-identical to one single-process
 //! columnar sweep over the whole set — plus rejection tests for damaged
-//! frames/payloads and an end-to-end reduced-report identity check.
+//! and retired-version frames/payloads and an end-to-end reduced-report
+//! identity check.
 
 use proptest::prelude::*;
 use serde_json::json;
 use txstat::core::{EosColumnar, TezosColumnar, WireState, XrpColumnar};
 use txstat::ingest::{ReduceError, ReduceSession, ShardWorker};
-use txstat::wire::{decode_all, encode_all, PayloadFormat, ShardFrame, WireError};
+use txstat::wire::{content_hash, decode_all, encode_all, ShardFrame, WireError, MAGIC};
 
 use txstat::eos::{Action, ActionData, Block, Name, Transaction};
 use txstat::tezos::{Address, OpPayload, Operation, PeriodKind, TezosBlock, Vote};
@@ -227,17 +227,14 @@ fn spec_strategy() -> impl Strategy<Value = Vec<BlockSpec>> {
 
 proptest! {
     /// The tentpole law: k frames over random contiguous cuts, each swept
-    /// with its own in-process shard count and a proptest-chosen payload
-    /// format (v2 binary or v1 JSON — a fleet mid-rollout), round-tripped
-    /// through the wire codec **bytes**, reduce to sweeps whose every
-    /// compared statistic equals a single-process columnar sweep over the
-    /// whole block set.
+    /// with its own in-process shard count, round-tripped through the wire
+    /// codec **bytes**, reduce to sweeps whose every compared statistic
+    /// equals a single-process columnar sweep over the whole block set.
     #[test]
     fn k_frame_wire_reduction_equals_single_process(
         spec in spec_strategy(),
         cuts in proptest::collection::vec(0u64..64, 0..4),
         shard_counts in proptest::collection::vec(1usize..5, 5),
-        json_workers in proptest::collection::vec(any::<bool>(), 5),
     ) {
         let eos = eos_blocks(&spec);
         let tezos = tezos_blocks(&spec);
@@ -255,11 +252,6 @@ proptest! {
                 end,
                 base: 0,
                 shards: shard_counts[i % shard_counts.len()],
-                payload: if json_workers[i % json_workers.len()] {
-                    PayloadFormat::Json
-                } else {
-                    PayloadFormat::Bin
-                },
                 meta: meta.clone(),
             };
             let frames = vec![
@@ -410,12 +402,31 @@ proptest! {
     }
 }
 
-/// Cross-version reduction: one worker still emitting v1 JSON frames next
-/// to two v2 binary workers reduces to exactly the single-process sweeps —
-/// every compared statistic equal, nothing about the payload encoding
-/// leaks into the result.
+/// A schema-v1 frame: the retired envelope version, a header without a
+/// payload tag, and a JSON payload — what pre-v2 workers emitted.
+fn v1_frame(chain: &str, start: u64, end: u64) -> Vec<u8> {
+    let header = format!(
+        r#"{{"schema_version":1,"chain":"{chain}","start":{start},"end":{end},"blocks":{},"meta":null}}"#,
+        end - start
+    );
+    let payload = br#"{"names":[],"sent":[]}"#;
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&content_hash(header.as_bytes(), payload).to_le_bytes());
+    out.extend_from_slice(&(header.len() as u32).to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// A straggler still emitting v1 JSON frames among v2 workers: its frames
+/// are a typed `UnsupportedVersion` at decode, nothing of it reaches the
+/// session, and once its range is re-swept in v2 the reduction equals the
+/// single-process sweeps — every compared statistic.
 #[test]
-fn one_v1_json_frame_among_v2_frames_reduces_identically() {
+fn v1_frame_among_v2_frames_is_rejected_typed() {
     let spec: Vec<BlockSpec> =
         (0..9).map(|i| vec![vec![(i as u8, i as u8, (i + 1) as u8, 5 + i as i64)]]).collect();
     let eos = eos_blocks(&spec);
@@ -425,30 +436,27 @@ fn one_v1_json_frame_among_v2_frames_reduces_identically() {
     let ora = oracle();
     let meta = json!({"scenario": "mixed"});
 
-    let mut bytes = Vec::new();
-    for (i, (start, end)) in [(0u64, 3u64), (3, 6), (6, 9)].into_iter().enumerate() {
-        let worker = ShardWorker {
-            start,
-            end,
-            base: 0,
-            shards: 1 + i,
-            // The middle worker is the straggler still on v1 JSON.
-            payload: if i == 1 { PayloadFormat::Json } else { PayloadFormat::Bin },
-            meta: meta.clone(),
-        };
-        let frames = vec![
+    let frames_of = |i: usize, start: u64, end: u64| {
+        let worker = ShardWorker { start, end, base: 0, shards: 1 + i, meta: meta.clone() };
+        encode_all(&[
             worker.eos_frame(&eos, window()),
             worker.tezos_frame(&tezos, window(), &periods),
             worker.xrp_frame(&xrp, window(), &ora),
-        ];
-        bytes.extend_from_slice(&encode_all(&frames));
+        ])
+    };
+    let mut v1 = Vec::new();
+    for chain in ["eos", "tezos", "xrp"] {
+        v1.extend_from_slice(&v1_frame(chain, 3, 6));
     }
+    let mixed = [frames_of(0, 0, 3), v1, frames_of(2, 6, 9)].concat();
+    assert_eq!(
+        decode_all(&mixed),
+        Err(WireError::UnsupportedVersion { found: 1, supported: 2 })
+    );
 
+    let bytes = [frames_of(0, 0, 3), frames_of(1, 3, 6), frames_of(2, 6, 9)].concat();
     let mut session = ReduceSession::new();
-    let decoded = decode_all(&bytes).expect("frames decode");
-    let versions: Vec<u32> = decoded.iter().map(|f| f.header.schema_version).collect();
-    assert_eq!(versions, vec![2, 2, 2, 1, 1, 1, 2, 2, 2], "a genuinely mixed session");
-    for frame in decoded {
+    for frame in decode_all(&bytes).expect("frames decode") {
         session.submit(&frame).expect("frames validate");
     }
     let reduced = session.finalize().expect("coverage is complete");
