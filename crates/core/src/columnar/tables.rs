@@ -536,21 +536,4 @@ mod tests {
         let bytes = section(&[(5, 1), (u64::MAX, 1)]);
         assert!(matches!(FxMap64::from_wire_bytes(&bytes), Err(ColError::Invalid { .. })));
     }
-
-    #[test]
-    fn sections_round_trip_canonically() {
-        let mut t = PairTable::new();
-        for (a, b) in [(7, 1), (0, 3), (7, 0), (2, 2)] {
-            t.add(a, b, u64::from(a + b + 1));
-        }
-        let bytes = t.to_wire_bytes();
-        let back = PairTable::from_wire_bytes(&bytes).expect("valid section");
-        assert_eq!(back.to_wire_bytes(), bytes);
-        let mut m = FxMap64::new();
-        for k in [9u64, 1, 400] {
-            m.add(k, k * 2);
-        }
-        let bytes = m.to_wire_bytes();
-        assert_eq!(FxMap64::from_wire_bytes(&bytes).expect("valid section").to_wire_bytes(), bytes);
-    }
 }

